@@ -43,6 +43,7 @@ from .errors import (
     ArtinalgError,
     DependentInputError,
     IncompatibleAlgebrasError,
+    InvalidArgumentError,
     NotDegreeOneError,
     NotGorensteinError,
     NotGradedError,
@@ -70,7 +71,6 @@ from .kahler import (
     TruncatedForm,
     d,
     embedding_obstruction,
-    form_is_zero,
     h0_de_rham,
     kahler_module,
     pushforward,
@@ -81,9 +81,6 @@ from .polycore import (
     MonomialOrder,
     Polynomial,
     parse_polynomial,
-    partial_derivative,
-    poly_arith,
-    poly_scale,
 )
 from .truncated import (
     DEFAULT_COEFF_POOL,
@@ -94,7 +91,6 @@ from .truncated import (
     make_hom,
     search_homs,
     triangularize,
-    valuation,
 )
 
 __version__ = "0.1.0"

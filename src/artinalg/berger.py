@@ -36,6 +36,7 @@ from .algebra import (
 )
 from .errors import (
     IncompatibleAlgebrasError,
+    InvalidArgumentError,
     NotDegreeOneError,
     NotGorensteinError,
     NotGradedError,
@@ -53,7 +54,7 @@ ONE = Fraction(1)
 def q_algebra(r: int) -> ArtinAlgebra:
     """The staircase algebra Q[X,Y]/<X^(r+1), X^r Y, Y^2> of dimension 2r+1."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise InvalidArgumentError(f"r must be >= 1, got {r}")
     variables = ("X", "Y")
     gens = [
         parse_polynomial(f"X^{r + 1}", variables),
@@ -311,7 +312,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
 def omega_witness(algebra: ArtinAlgebra, x: AlgebraElement, y: AlgebraElement, r: int) -> DifferentialForm:
     """The form x^(r-1) (x dy - y dx) for degree-one x and y."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise InvalidArgumentError(f"r must be >= 1, got {r}")
     info = grading_info(algebra)
     if not info.is_standard_graded:
         raise NotGradedError("witness form needs a standard grading")
@@ -354,6 +355,33 @@ class WitnessReport:
         return record
 
 
+def _kill_report(
+    witness, homs, witness_text: str, certificate: dict, notes: dict | None = None
+) -> WitnessReport:
+    """Check that every hom sends the witness to zero.
+
+    A DifferentialForm witness is pushed forward along each hom, an
+    AlgebraElement is applied; the homs that leave it nonzero are the
+    report's violations.
+    """
+    homs = list(homs)
+    if isinstance(witness, DifferentialForm):
+        kind, images = "form", (pushforward(h, witness) for h in homs)
+    else:
+        kind, images = "element", (h.apply(witness) for h in homs)
+    violations = [h for h, image in zip(homs, images) if not image.is_zero()]
+    return WitnessReport(
+        kind=kind,
+        witness_text=witness_text,
+        nonzero=not witness.is_zero(),
+        certificate=certificate,
+        all_killed=not violations,
+        violations=violations,
+        homs_tested=homs,
+        notes=notes or {},
+    )
+
+
 def tau_membership_check(
     algebra: ArtinAlgebra,
     omega: DifferentialForm,
@@ -370,21 +398,12 @@ def tau_membership_check(
     km = kahler_module(algebra)
     if omega.module is not km:
         raise IncompatibleAlgebrasError("form does not live over the given algebra")
-    violations = [h for h in homs if not pushforward(h, omega).is_zero()]
     certificate = {"reduced_coordinates_nonzero": not omega.is_zero()}
     if certificate_map is not None:
         image = pushforward(certificate_map, omega)
         certificate["quotient_image_nonzero"] = not image.is_zero()
         certificate["quotient_dim"] = certificate_map.target.dim
-    return WitnessReport(
-        kind="form",
-        witness_text=omega.describe(),
-        nonzero=not omega.is_zero(),
-        certificate=certificate,
-        all_killed=not violations,
-        violations=violations,
-        homs_tested=list(homs),
-    )
+    return _kill_report(omega, homs, omega.describe(), certificate)
 
 
 def _gorenstein_socle_generator(algebra: ArtinAlgebra) -> AlgebraElement:
@@ -405,15 +424,11 @@ def socle_kill_check(algebra: ArtinAlgebra, homs) -> WitnessReport:
     contradict the socle-kill theorem and is reported explicitly.
     """
     generator = _gorenstein_socle_generator(algebra)
-    violations = [h for h in homs if not h.apply(generator).is_zero()]
-    return WitnessReport(
-        kind="element",
-        witness_text=generator.to_polynomial().to_string(algebra.order),
-        nonzero=not generator.is_zero(),
-        certificate={"socle_dimension": 1},
-        all_killed=not violations,
-        violations=violations,
-        homs_tested=list(homs),
+    return _kill_report(
+        generator,
+        homs,
+        generator.to_polynomial().to_string(algebra.order),
+        {"socle_dimension": 1},
     )
 
 
@@ -436,18 +451,13 @@ def tau_witness_gorenstein(
         homs = search_homs(
             algebra, n_max, strategy=strategies, budget=budget, seed=seed
         )
-    km = kahler_module(algebra)
-    witness = km.d(generator)
+    witness = kahler_module(algebra).d(generator)
     route_ok = not witness.is_zero()
-    violations = [h for h in homs if not pushforward(h, witness).is_zero()]
-    return WitnessReport(
-        kind="form",
-        witness_text=f"d({generator.to_polynomial().to_string(algebra.order)})",
-        nonzero=route_ok,
-        certificate={"socle_differential_nonzero": route_ok},
-        all_killed=not violations,
-        violations=violations,
-        homs_tested=list(homs),
+    return _kill_report(
+        witness,
+        homs,
+        f"d({generator.to_polynomial().to_string(algebra.order)})",
+        {"socle_differential_nonzero": route_ok},
         notes={
             "socle_differential_route": "ok" if route_ok else "fails: d(socle) = 0"
         },

@@ -42,6 +42,7 @@ from .algebra import (
     socle,
 )
 from .berger import (
+    _kill_report,
     critical_degree_search,
     omega_witness,
     socle_kill_check,
@@ -234,9 +235,10 @@ def cmd_tau(args) -> tuple[dict, int]:
     if args.witness:
         element = algebra.from_polynomial(parse_polynomial(args.witness, algebra.variables))
         witness_form = km.d(element)
-        element_violations = [h for h in homs if not h.apply(element).is_zero()]
+        element_text = element.to_polynomial().to_string(algebra.order)
+        element_violations = _kill_report(element, homs, element_text, {}).violations
         element_part = {
-            "element": element.to_polynomial().to_string(algebra.order),
+            "element": element_text,
             "element_killed_by_all": not element_violations,
             "element_violations": [h.to_record() for h in element_violations],
         }

@@ -9,6 +9,10 @@ class ArtinalgError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(ArtinalgError, ValueError):
+    """A numeric or named argument lies outside its documented range."""
+
+
 class PolynomialSyntaxError(ArtinalgError):
     """Polynomial text does not conform to the input grammar."""
 

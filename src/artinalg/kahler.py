@@ -236,11 +236,6 @@ def d(element: AlgebraElement) -> DifferentialForm:
     return kahler_module(element.algebra).d(element)
 
 
-def form_is_zero(form) -> bool:
-    """Works for forms over algebras and over truncated rings alike."""
-    return form.is_zero()
-
-
 def truncated_differential(value: TruncatedPoly) -> TruncatedForm:
     """d of an element of Q[t]/<t^(N+1)>, in the basis t^k dt (k < N)."""
     n = value.truncation

@@ -460,24 +460,3 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
             raise PolynomialSyntaxError(f"unexpected {op[1]!r}")
     return Polynomial(variables, terms)
 
-
-# -- thin operation wrappers ------------------------------------------------
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact ring arithmetic: op is one of "add", "sub", "mul"."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_scale(a: Polynomial, value) -> Polynomial:
-    return a.scale(value)
-
-
-def partial_derivative(p: Polynomial, name: str) -> Polynomial:
-    return p.partial_derivative(name)

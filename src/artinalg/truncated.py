@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -26,6 +26,7 @@ from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, is_local_over_q
 from .errors import (
     DependentInputError,
     IncompatibleAlgebrasError,
+    InvalidArgumentError,
     NotLocalOverQError,
     RelationViolatedError,
 )
@@ -53,7 +54,7 @@ class TruncatedPolyAlgebra:
 
     def __init__(self, truncation: int):
         if truncation < 0:
-            raise ValueError("truncation must be >= 0")
+            raise InvalidArgumentError(f"truncation must be >= 0, got {truncation}")
         self.truncation = truncation
 
     def zero(self) -> "TruncatedPoly":
@@ -390,11 +391,6 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
     return TruncatedHom(algebra, target, normalized)
 
 
-def valuation(hom: TruncatedHom, element: AlgebraElement) -> TruncValue:
-    """Truncated valuation of an element under a verified hom."""
-    return hom.valuation(element)
-
-
 def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     """Replace an independent family by one with the staircase profile.
 
@@ -441,6 +437,10 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
 
 
 # -- hom search ---------------------------------------------------------------
+#
+# A strategy is a stream yielding one item per candidate it examines: the
+# verified hom, or None for a rejected candidate.  search_homs alone caps,
+# deduplicates and numbers what the streams yield.
 
 
 def _monomial_residual_order(gen: Polynomial, exponents, coefficients) -> int | None:
@@ -463,53 +463,61 @@ def _monomial_residual_order(gen: Polynomial, exponents, coefficients) -> int | 
     return min(acc)
 
 
-def _monomial_candidates(algebra, n_max, budget, pool, found, seq_start):
-    """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target."""
+def _profiles_of_degree(total: int, nvars: int, n_max: int):
+    """Profiles in {1..n_max}^nvars summing to `total`, lexicographically."""
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    rest_min, rest_max = nvars - 1, (nvars - 1) * n_max
+    for first in range(max(1, total - rest_max), min(n_max, total - rest_min) + 1):
+        for rest in _profiles_of_degree(total - first, nvars - 1, n_max):
+            yield (first,) + rest
+
+
+def _monomial_profiles(nvars: int, n_max: int):
+    """All of {1..n_max}^nvars by total degree, then lexicographically.
+
+    The order of sorted(product(...), key=lambda p: (sum(p), p)), produced
+    lazily: nothing is built for profiles the budget never reaches.
+    """
+    for total in range(nvars, nvars * n_max + 1):
+        yield from _profiles_of_degree(total, nvars, n_max)
+
+
+def _monomial_stream(algebra, n_max, pool, seed, user_images, found):
+    """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target.
+
+    A candidate whose key is already in `found` is rejected before its hom
+    is built.
+    """
     nvars = len(algebra.variables)
-    homs = []
-    seq = seq_start
-    profiles = sorted(
-        iter_product(range(1, n_max + 1), repeat=nvars),
-        key=lambda p: (sum(p), p),
-    )
-    candidates = 0
-    for profile in profiles:
-        if candidates >= budget:
-            break
+    for profile in _monomial_profiles(nvars, n_max):
         for coeffs in iter_product(pool, repeat=nvars):
-            if candidates >= budget:
-                break
-            candidates += 1
             orders = [
                 _monomial_residual_order(g, profile, coeffs) for g in algebra.gens
             ]
             finite = [o for o in orders if o is not None]
             n = n_max if not finite else min(min(finite) - 1, n_max)
             if n < 1:
+                yield None
                 continue
             target = TruncatedPolyAlgebra(n)
             images = tuple(
                 target.t_power(e, c) for e, c in zip(profile, coeffs)
             )
             key = (n, tuple(img.coeffs for img in images))
-            if key in found:
-                continue
-            hom = TruncatedHom(algebra, target, images, _preverified=True, gen_seq=seq)
-            seq += 1
-            found[key] = hom
-            homs.append(hom)
-    return homs, seq
+            yield None if key in found else TruncatedHom(
+                algebra, target, images, _preverified=True
+            )
 
 
-def _dense_random_candidates(algebra, n_max, budget, pool, seed, found, seq_start):
+def _dense_random_stream(algebra, n_max, pool, seed, user_images, found):
     """Random polynomial images of positive order, exactly verified."""
     rng = random.Random(f"{seed}:dense-random:{n_max}")
     nvars = len(algebra.variables)
-    homs = []
-    seq = seq_start
-    for _ in range(budget):
+    while True:
         n = rng.randint(1, n_max)
-        target = TruncatedPolyAlgebra(n)
         images = []
         for _ in range(nvars):
             lead = rng.randint(1, n)
@@ -519,15 +527,29 @@ def _dense_random_candidates(algebra, n_max, budget, pool, seed, found, seq_star
                 if rng.random() < 0.4:
                     coeffs[k] = rng.choice(pool)
             images.append(TruncatedPoly(n, coeffs))
-        probe = TruncatedHom(algebra, target, images, _preverified=True)
-        if all(probe.evaluate_polynomial(g).is_zero() for g in algebra.gens):
-            key = (n, tuple(img.coeffs for img in images))
-            if key not in found:
-                probe.gen_seq = seq
-                seq += 1
-                found[key] = probe
-                homs.append(probe)
-    return homs, seq
+        probe = TruncatedHom(algebra, TruncatedPolyAlgebra(n), images, _preverified=True)
+        verified = all(probe.evaluate_polynomial(g).is_zero() for g in algebra.gens)
+        yield probe if verified else None
+
+
+def _user_stream(algebra, n_max, pool, seed, user_images, found):
+    """The supplied image sets, each verified at truncation n_max."""
+    if not user_images:
+        return
+    single = isinstance(user_images[0], (str, Polynomial, TruncatedPoly))
+    for image_set in [user_images] if single else user_images:
+        try:
+            hom = make_hom(algebra, n_max, image_set)
+        except RelationViolatedError:
+            hom = None
+        yield hom
+
+
+_STRATEGIES = {
+    "monomial": _monomial_stream,
+    "dense-random": _dense_random_stream,
+    "user": _user_stream,
+}
 
 
 def search_homs(
@@ -545,48 +567,35 @@ def search_homs(
     (coefficients from a fixed rational pool) and pairs each with the
     largest truncation it verifies at; "dense-random" rejection-samples
     seeded random images of positive order; "user" verifies explicitly
-    supplied images and keeps the valid ones.  The budget bounds the
-    number of candidates examined per strategy (an int, or a mapping
-    from strategy name to int).  Results are deduplicated and sorted by
-    the canonical key (N, images); an empty list is a legitimate
-    outcome.
+    supplied images and keeps the valid ones.  The budget caps the
+    number of candidates examined per strategy, "user" included (an
+    int, or a mapping from strategy name to int; a strategy missing from
+    the mapping gets 0).  Candidates are streamed, so a strategy does no
+    work beyond its budget.  Results are deduplicated by the canonical
+    key (N, images) and sorted by it; each hom's `gen_seq` is the number
+    of homs kept before it.  An empty list is a legitimate outcome.
+
+    Raises InvalidArgumentError, before examining any candidate, for
+    n_max < 1, an unknown strategy name or a negative budget.
     """
+    strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
+    budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
+    unknown = [s for s in strategies if s not in _STRATEGIES]
+    if n_max < 1:
+        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown strategy {unknown[0]!r}; expected one of {', '.join(_STRATEGIES)}"
+        )
+    if any(b < 0 for b in budgets.values()):
+        raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
     if not is_local_over_q(algebra):
         raise NotLocalOverQError("hom search needs a local algebra over Q")
-    if isinstance(strategy, str):
-        strategies = (strategy,)
-    else:
-        strategies = tuple(strategy)
     pool = tuple(coefficient_pool) if coefficient_pool is not None else DEFAULT_COEFF_POOL
     found: dict = {}
-    homs: list[TruncatedHom] = []
-    seq = 0
     for strat in strategies:
-        allowance = budget.get(strat, 0) if isinstance(budget, dict) else budget
-        if allowance <= 0:
-            continue
-        if strat == "monomial":
-            new, seq = _monomial_candidates(algebra, n_max, allowance, pool, found, seq)
-        elif strat == "dense-random":
-            new, seq = _dense_random_candidates(algebra, n_max, allowance, pool, seed, found, seq)
-        elif strat == "user":
-            new = []
-            if images:
-                single = isinstance(images[0], (str, Polynomial, TruncatedPoly))
-                image_sets = [images] if single else list(images)
-                for image_set in image_sets:
-                    try:
-                        hom = make_hom(algebra, n_max, image_set)
-                    except RelationViolatedError:
-                        continue
-                    key = hom.key()
-                    if key not in found:
-                        hom.gen_seq = seq
-                        seq += 1
-                        found[key] = hom
-                        new.append(hom)
-        else:
-            raise ValueError(f"unknown strategy {strat!r}")
-        homs.extend(new)
-    homs.sort(key=lambda h: h.key())
-    return homs
+        stream = _STRATEGIES[strat](algebra, n_max, pool, seed, images, found)
+        for hom in islice(stream, budgets.get(strat, 0)):
+            if hom is not None and found.setdefault(hom.key(), hom) is hom:
+                hom.gen_seq = len(found) - 1
+    return sorted(found.values(), key=lambda h: h.key())

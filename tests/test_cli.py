@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artinalg.cli import main, parse_algebra_file
 from artinalg.errors import AlgebraFileError
@@ -39,6 +42,13 @@ def golden_path(tmp_path):
 @pytest.fixture()
 def staircase_path(tmp_path):
     path = tmp_path / "staircase.alg"
+    path.write_text(STAIRCASE_FILE)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def staircase_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("alg") / "staircase.alg"
     path.write_text(STAIRCASE_FILE)
     return str(path)
 
@@ -167,6 +177,61 @@ class TestHoms:
             ]
         )
         assert code == 2
+
+
+class TestBadSearchFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homs", "--strategy", "bogus"],
+            ["homs", "--nmax", "0", "--strategy", "dense-random"],
+            ["homs", "--nmax", "-3"],
+            ["homs", "--budget", "-5"],
+            ["tau", "--r", "-1"],
+            ["homs", "--nmax", "-1", "--strategy", "user", "--images", "t;t"],
+        ],
+        ids=[
+            "unknown-strategy",
+            "nmax-zero-dense",
+            "nmax-negative",
+            "budget-negative",
+            "r-negative",
+            "nmax-negative-user-images",
+        ],
+    )
+    def test_input_error(self, capsys, staircase_path, argv):
+        code = main([argv[0], staircase_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        command=st.sampled_from(["homs", "critdeg", "tau"]),
+        nmax=st.integers(-2, 6),
+        budget=st.integers(-2, 30),
+        r=st.integers(-2, 3),
+        strategy=st.lists(
+            st.sampled_from(["monomial", "dense-random", "user", "bogus"]),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_any_flags_end_in_a_documented_code(
+        self, staircase_file, command, nmax, budget, r, strategy
+    ):
+        argv = [
+            command,
+            staircase_file,
+            "--nmax", str(nmax),
+            "--budget", str(budget),
+            "--strategy", ",".join(strategy),
+        ]
+        if command == "tau":
+            argv += ["--r", str(r)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in {0, 2, 3, 4}
 
 
 class TestCritdeg:

@@ -11,7 +11,6 @@ from artinalg.kahler import (
     TruncatedForm,
     d,
     embedding_obstruction,
-    form_is_zero,
     h0_de_rham,
     kahler_module,
     pushforward,
@@ -237,7 +236,7 @@ class TestDeRham:
 
 class TestFormPredicates:
     def test_form_is_zero_on_both_kinds(self, golden):
-        assert form_is_zero(d(golden.one()))
-        assert not form_is_zero(d(golden.from_string("X")))
-        assert form_is_zero(TruncatedForm(3, [0, 0, 0]))
-        assert not form_is_zero(TruncatedForm(3, [0, 1, 0]))
+        assert d(golden.one()).is_zero()
+        assert not d(golden.from_string("X")).is_zero()
+        assert TruncatedForm(3, [0, 0, 0]).is_zero()
+        assert not TruncatedForm(3, [0, 1, 0]).is_zero()

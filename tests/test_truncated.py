@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 
@@ -13,11 +14,12 @@ from artinalg.truncated import (
     TruncValue,
     TruncatedPolyAlgebra,
     make_hom,
+    _monomial_profiles,
     search_homs,
     triangularize,
-    valuation,
 )
 from artinalg import linalg
+from conftest import algebra_from_strings
 from oracles import random_element
 
 
@@ -87,19 +89,19 @@ class TestMakeHom:
 class TestValuation:
     def test_of_zero_is_infinite(self, q2):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
-        assert valuation(hom, q2.zero()).is_infinite
+        assert hom.valuation(q2.zero()).is_infinite
 
     def test_of_one_is_zero(self, q2):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
-        assert valuation(hom, q2.one()) == TruncValue.finite(0)
+        assert hom.valuation(q2.one()) == TruncValue.finite(0)
 
     def test_staircase_values(self, q2):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
         x = q2.variable_element("X")
         y = q2.variable_element("Y")
-        assert valuation(hom, x) == TruncValue.finite(2)
-        assert valuation(hom, y) == TruncValue.finite(3)
-        assert valuation(hom, x * y) == TruncValue.finite(5)
+        assert hom.valuation(x) == TruncValue.finite(2)
+        assert hom.valuation(y) == TruncValue.finite(3)
+        assert hom.valuation(x * y) == TruncValue.finite(5)
 
     def test_unit_characterization(self, q2, golden):
         rng = random.Random(41)
@@ -247,6 +249,13 @@ class TestSearch:
         with pytest.raises(NotLocalOverQError):
             search_homs(split_quadratic, 4)
 
+    def test_large_nmax_pays_only_for_the_budget(self):
+        A = algebra_from_strings(
+            ("X", "Y", "Z"), ("X^2 - Y^2", "Y^2 - Z^2", "X*Y", "X*Z", "Y*Z")
+        )
+        homs = search_homs(A, 120, budget={"monomial": 10})
+        assert all(h.gen_seq < 10 for h in homs)
+
     def test_pool_is_the_documented_default(self):
         assert DEFAULT_COEFF_POOL[0] == 1 and len(DEFAULT_COEFF_POOL) == 7
 
@@ -262,3 +271,17 @@ class TestComposition:
         for _ in range(20):
             a = random_element(rng, q2)
             assert combo.apply(a) == hom.apply(pi.apply(a))
+
+
+class TestMonomialProfiles:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_order_is_degree_then_lexicographic(self, m, n):
+        expected = sorted(
+            product(range(1, n + 1), repeat=m), key=lambda p: (sum(p), p)
+        )
+        assert list(_monomial_profiles(m, n)) == expected
+
+    def test_lazy(self):
+        first = list(islice(_monomial_profiles(3, 10**9), 5))
+        assert first == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 3)]
