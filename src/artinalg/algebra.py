@@ -6,6 +6,10 @@ precomputed table of normal-form coordinates.  Everything downstream
 (socle, nilradical, gradings, differentials, homomorphism searches) is
 exact linear algebra over that table.
 
+`AlgebraMap` is the one homomorphism type, with the only verification,
+evaluation and composition code.  Its target is an ArtinAlgebra (quotient
+surjections) or Q[t]/<t^(N+1)> (its subclass `truncated.TruncatedHom`).
+
 The nilradical is computed as the radical of the trace bilinear form
 (a, b) -> trace(multiplication by ab), which equals the set of nilpotents
 in characteristic zero; being a single kernel computation it is easy to
@@ -29,7 +33,7 @@ from .errors import (
     VariableMismatchError,
 )
 from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
-from .polycore import Monomial, MonomialOrder, Polynomial
+from .polycore import Monomial, MonomialOrder, Polynomial, check_variables
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -278,6 +282,9 @@ class ArtinAlgebra:
                         out[k] += f * t
         return out
 
+    def __contains__(self, element) -> bool:
+        return isinstance(element, AlgebraElement) and element.algebra is self
+
     def full_space(self) -> Subspace:
         rows = []
         for i in range(self.dim):
@@ -293,10 +300,11 @@ class ArtinAlgebra:
 def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinAlgebra:
     """Quotient by a zero-dimensional ideal, as a concrete algebra.
 
-    Raises NotZeroDimensionalError for infinite quotients and
+    Raises InvalidArgumentError for a duplicate variable or one that is
+    not a name, NotZeroDimensionalError for infinite quotients and
     TrivialAlgebraError when the ideal contains 1.
     """
-    variables = tuple(variables)
+    variables = check_variables(variables)
     gens = [
         g if isinstance(g, Polynomial) else _parse(variables, g)
         for g in gens
@@ -324,70 +332,94 @@ def _parse(variables, text):
 
 
 class AlgebraMap:
-    """An algebra homomorphism determined by variable images.
+    """An algebra homomorphism out of an ArtinAlgebra, fixed by variable images.
 
-    Verified at construction: every ideal generator of the source must
-    evaluate to zero in the target.
+    The target is an ArtinAlgebra or a truncated ring Q[t]/<t^(N+1)>
+    (`truncated.TruncatedPolyAlgebra`); only `one()`/`zero()` and the
+    elements' `+`, `*`, `**`, `scale` and `is_zero` are used.  Every image
+    must lie in the target.  With `verify` (the default) construction
+    checks that every ideal generator of the source evaluates to zero.
+    Image powers and basis images are computed once, on first use.
     """
 
-    __slots__ = ("source", "target", "var_images", "_basis_images")
+    __slots__ = ("source", "target", "images", "_basis_images", "_power_cache")
 
-    def __init__(self, source: ArtinAlgebra, target: ArtinAlgebra, var_images, verify: bool = True):
-        if len(var_images) != len(source.variables):
+    def __init__(self, source: ArtinAlgebra, target, images, verify: bool = True):
+        if len(images) != len(source.variables):
             raise IncompatibleAlgebrasError("one image per source variable required")
-        for img in var_images:
-            if img.algebra is not target:
-                raise IncompatibleAlgebrasError("image lies in the wrong algebra")
+        if not all(img in target for img in images):
+            raise IncompatibleAlgebrasError("image lies in the wrong algebra")
         self.source = source
         self.target = target
-        self.var_images = tuple(var_images)
+        self.images = tuple(images)
         self._basis_images = None
+        self._power_cache: dict = {}
         if verify:
-            for g in source.gens:
-                residual = self._evaluate_polynomial(g)
-                if not residual.is_zero():
-                    raise RelationViolatedError(g.to_string(source.order), residual)
+            violation = self.violation()
+            if violation is not None:
+                g, residual = violation
+                raise RelationViolatedError(g.to_string(source.order), residual)
 
-    def _evaluate_polynomial(self, p: Polynomial) -> AlgebraElement:
+    def violation(self):
+        """The first source generator not sent to zero, with its image, or None.
+
+        Raises nothing, so a search rejects candidates without building errors.
+        """
+        for g in self.source.gens:
+            residual = self.evaluate_polynomial(g)
+            if not residual.is_zero():
+                return g, residual
+        return None
+
+    def _image_power(self, var_index: int, exponent: int):
+        key = (var_index, exponent)
+        cached = self._power_cache.get(key)
+        if cached is None:
+            cached = self.images[var_index] ** exponent
+            self._power_cache[key] = cached
+        return cached
+
+    def evaluate_monomial(self, exps: Sequence[int]):
+        term = None
+        for i, e in enumerate(exps):
+            if e:
+                power = self._image_power(i, e)
+                term = power if term is None else term * power
+        return self.target.one() if term is None else term
+
+    def evaluate_polynomial(self, p: Polynomial):
         total = self.target.zero()
         for mono, c in p.terms.items():
-            term = self.target.one().scale(c)
-            for img, e in zip(self.var_images, mono.exps):
-                for _ in range(e):
-                    term = term * img
-            total = total + term
+            total = total + self.evaluate_monomial(mono.exps).scale(c)
         return total
 
-    @property
-    def basis_images(self):
+    def basis_image(self, i: int):
+        """The image of the i-th standard monomial of the source."""
         if self._basis_images is None:
-            images = []
-            for mono in self.source.basis:
-                term = self.target.one()
-                for img, e in zip(self.var_images, mono.exps):
-                    for _ in range(e):
-                        term = term * img
-                images.append(term)
-            self._basis_images = tuple(images)
-        return self._basis_images
+            self._basis_images = [None] * self.source.dim
+        cached = self._basis_images[i]
+        if cached is None:
+            cached = self.evaluate_monomial(self.source.basis[i].exps)
+            self._basis_images[i] = cached
+        return cached
 
-    def apply(self, element: AlgebraElement) -> AlgebraElement:
+    def apply(self, element: AlgebraElement):
         if element.algebra is not self.source:
             raise IncompatibleAlgebrasError("element not in the source algebra")
         total = self.target.zero()
-        for c, img in zip(element.coords, self.basis_images):
+        for i, c in enumerate(element.coords):
             if c != 0:
-                total = total + img.scale(c)
+                total = total + self.basis_image(i).scale(c)
         return total
 
     def then(self, other: "AlgebraMap") -> "AlgebraMap":
-        """Composite self followed by other."""
+        """Composite self followed by other, of the same class as other."""
         if other.source is not self.target:
             raise IncompatibleAlgebrasError("maps do not compose")
-        return AlgebraMap(
+        return type(other)(
             self.source,
             other.target,
-            [other.apply(img) for img in self.var_images],
+            [other.apply(img) for img in self.images],
             verify=False,
         )
 
@@ -401,7 +433,8 @@ class AlgebraMap:
         )
 
     def __repr__(self):
-        return f"<AlgebraMap {self.source!r} -> {self.target!r}>"
+        pieces = ", ".join(f"{v} -> {img!r}" for v, img in zip(self.source.variables, self.images))
+        return f"<{type(self).__name__} {pieces}>"
 
 
 # -- structural operations -------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
 from .polycore import Polynomial, parse_polynomial
-from .truncated import TruncatedHom, make_hom, search_homs
+from .truncated import TruncatedHom, make_hom
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -151,30 +151,19 @@ def degree_one_witness_hom(algebra: ArtinAlgebra) -> TruncatedHom:
     return make_hom(algebra, 3, images)
 
 
-def critical_degree_search(
-    algebra: ArtinAlgebra,
-    n_max: int,
-    budget: int = 4000,
-    strategies=("monomial", "dense-random"),
-    seed: int = 0,
-    homs=None,
-) -> CriticalDegreeReport:
-    """Certified lower bound for the critical degree by hom search.
+def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
+    """Certified lower bound for the critical degree from a hom family.
 
-    Scans a family of verified homs (searched here unless supplied) and
-    records each degree whose component image stays at least
-    two-dimensional, with the strongest witness found.  Degree one is
-    always achieved through the canonical quadratic-kill hom.
+    Scans the verified homs (typically from `search_homs`) and records
+    each degree whose component image stays at least two-dimensional,
+    with the strongest witness found.  Degree one is always achieved
+    through the canonical quadratic-kill hom.
     """
     info = grading_info(algebra)
     if not info.is_standard_graded:
         raise NotGradedError("critical degree needs a standard graded algebra")
     if is_principal_ideal_algebra(algebra):
         raise PrincipalAlgebraError("critical degree is undefined for principal algebras")
-    if homs is None:
-        homs = search_homs(
-            algebra, n_max, strategy=strategies, budget=budget, seed=seed
-        )
     n = info.nilpotency_index
     scan = [degree_one_witness_hom(algebra)]
     scan.extend(sorted(homs, key=lambda h: (h.gen_seq, h.key())))
@@ -259,11 +248,11 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
 
     expected = 2 * r + 1
     check = IsoCheck(True, expected, quotient.dim)
+    xq = to_quotient.apply(x)
+    yq = to_quotient.apply(y)
     if quotient.dim != expected:
         check = IsoCheck(False, expected, quotient.dim, detail="dimension mismatch")
     else:
-        xq = to_quotient.apply(x)
-        yq = to_quotient.apply(y)
         for i in range(1, r + 1):
             u = xq ** i
             v = (xq ** (i - 1)) * yq
@@ -284,10 +273,8 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
         return result
 
     q = q_algebra(r)
-    xq = to_quotient.apply(x)
-    yq = to_quotient.apply(y)
     phi = AlgebraMap(q, quotient, [xq, yq])
-    columns = [phi.basis_images[i].coords for i in range(q.dim)]
+    columns = [phi.basis_image(i).coords for i in range(q.dim)]
     matrix = [[columns[i][k] for i in range(q.dim)] for k in range(quotient.dim)]
     try:
         inverse = linalg.invert_matrix(matrix)
@@ -432,14 +419,7 @@ def socle_kill_check(algebra: ArtinAlgebra, homs) -> WitnessReport:
     )
 
 
-def tau_witness_gorenstein(
-    algebra: ArtinAlgebra,
-    homs=None,
-    n_max: int = 12,
-    budget: int = 4000,
-    strategies=("monomial", "dense-random"),
-    seed: int = 0,
-) -> WitnessReport:
+def tau_witness_gorenstein(algebra: ArtinAlgebra, homs) -> WitnessReport:
     """The socle-differential witness d(s) for a Gorenstein algebra.
 
     When d(s) = 0 the differential route fails (that does happen for
@@ -447,10 +427,6 @@ def tau_witness_gorenstein(
     the hom family is still evaluated either way.
     """
     generator = _gorenstein_socle_generator(algebra)
-    if homs is None:
-        homs = search_homs(
-            algebra, n_max, strategy=strategies, budget=budget, seed=seed
-        )
     witness = kahler_module(algebra).d(generator)
     route_ok = not witness.is_zero()
     return _kill_report(

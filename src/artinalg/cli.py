@@ -51,7 +51,7 @@ from .berger import (
 )
 from .errors import AlgebraFileError, ArtinalgError
 from .kahler import embedding_obstruction, h0_de_rham, kahler_module
-from .polycore import parse_polynomial
+from .polycore import check_variables, parse_polynomial
 from .truncated import make_hom, search_homs
 
 EXIT_OK = 0
@@ -77,7 +77,7 @@ def parse_algebra_file(path: str):
         if line.startswith("vars:"):
             if variables is not None:
                 raise AlgebraFileError("duplicate vars: line")
-            variables = tuple(line[len("vars:"):].split())
+            variables = check_variables(line[len("vars:"):].split())
             if not variables:
                 raise AlgebraFileError("vars: line lists no variables")
         elif line.startswith("gens:"):
@@ -197,12 +197,10 @@ def cmd_homs(args) -> tuple[dict, int]:
         # surface verification failures for explicit images
         make_hom(algebra, args.nmax, [s.strip() for s in args.images.split(";") if s.strip()])
     homs = _search(algebra, args)
+    elements = {name: algebra.variable_element(name) for name in algebra.variables}
     records = []
     for hom in homs:
-        valuations = {
-            name: str(hom.valuation(algebra.variable_element(name)))
-            for name in algebra.variables
-        }
+        valuations = {name: str(hom.valuation(x)) for name, x in elements.items()}
         records.append({**hom.to_record(), "variable_valuations": valuations})
     results = {"count": len(homs), "homs": records}
     return _report("homs", args, variables, gens, results), EXIT_OK
@@ -211,9 +209,7 @@ def cmd_homs(args) -> tuple[dict, int]:
 def cmd_critdeg(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
     homs = _search(algebra, args)
-    report = critical_degree_search(
-        algebra, args.nmax, budget=args.budget, seed=args.seed, homs=homs
-    )
+    report = critical_degree_search(algebra, homs)
     ok = report.reverify(algebra)
     results = {
         **report.to_record(),
@@ -276,7 +272,7 @@ def cmd_socle_kill(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
     homs = _search(algebra, args)
     kill = socle_kill_check(algebra, homs)
-    differential = tau_witness_gorenstein(algebra, homs=homs)
+    differential = tau_witness_gorenstein(algebra, homs)
     results = {
         "socle_kill": kill.to_record(include_homs=args.include_homs),
         "socle_differential": differential.to_record(include_homs=False),

@@ -14,8 +14,9 @@ stored by its coordinates on the non-pivot slots.
 
 The same file provides the forms of a truncated polynomial ring
 Q[t]/<t^(N+1)>: there d(t^(N+1)) = 0 forces t^N dt = 0 (characteristic
-zero), so Omega has basis dt, t dt, ..., t^(N-1) dt and pushforwards along
-verified homomorphisms are computed directly on coefficient vectors.
+zero), so Omega has basis dt, t dt, ..., t^(N-1) dt.  `pushforward` takes
+any AlgebraMap; only its accumulation step depends on the target kind, and
+for a truncated target it works term by term on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .algebra import (
 )
 from .errors import IncompatibleAlgebrasError, NotLocalOverQError
 from .polycore import Polynomial
-from .truncated import TruncatedHom, TruncatedPoly
+from .truncated import TruncatedPoly, TruncatedPolyAlgebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -243,55 +244,43 @@ def truncated_differential(value: TruncatedPoly) -> TruncatedForm:
     return TruncatedForm(n, deriv[:n])
 
 
-def pushforward(hom, form: DifferentialForm):
-    """Functorial map on forms along a verified homomorphism.
+def pushforward(hom: AlgebraMap, form: DifferentialForm):
+    """Functorial map on forms along a homomorphism: sum a dX_j -> h(a) d(h(X_j)).
 
-    `hom` is an AlgebraMap (target an ArtinAlgebra) or a TruncatedHom
-    (target a truncated polynomial ring); the result lives over the
-    target.  Satisfies pushforward(h, d(a)) = d(h(a)).
+    The result lives over the map's target: a DifferentialForm when it is
+    an ArtinAlgebra, a TruncatedForm when it is Q[t]/<t^(N+1)>.  Satisfies
+    pushforward(h, d(a)) = d(h(a)).
     """
     module = form.module
     source = module.algebra
-    if isinstance(hom, AlgebraMap):
-        if hom.source is not source:
-            raise IncompatibleAlgebrasError("form does not live over the map's source")
-        target_module = kahler_module(hom.target)
-        d_images = [target_module.d(img) for img in hom.var_images]
-        ambient = module.ambient_representative(form)
-        dim = source.dim
-        total = target_module.zero_form()
-        for j in range(len(source.variables)):
-            for i in range(dim):
-                c = ambient[j * dim + i]
-                if c != 0:
-                    moved = target_module.act(hom.basis_images[i], d_images[j])
-                    total = total + moved.scale(c)
-        return total
-    if isinstance(hom, TruncatedHom):
-        if hom.source is not source:
-            raise IncompatibleAlgebrasError("form does not live over the map's source")
-        n = hom.truncation
-        image_derivs = [img.derivative_coeffs() for img in hom.images]
-        ambient = module.ambient_representative(form)
-        dim = source.dim
+    if not isinstance(hom, AlgebraMap) or hom.source is not source:
+        raise IncompatibleAlgebrasError("form does not live over the map's source")
+    ambient = module.ambient_representative(form)
+    dim = source.dim
+    if isinstance(hom.target, TruncatedPolyAlgebra):
+        # coefficients of u * h_j' below degree n, term by term: the images
+        # are mostly zero, so dense TruncatedPoly arithmetic costs more
+        n = hom.target.truncation
         out = [ZERO] * n
-        for j in range(len(source.variables)):
-            deriv = image_derivs[j]
+        for j, img in enumerate(hom.images):
+            deriv = img.derivative_coeffs()
             for i in range(dim):
                 c = ambient[j * dim + i]
                 if c == 0:
                     continue
-                u = hom.basis_image(i)
-                # coefficients of u * h_j' below degree n
-                for a, ua in enumerate(u.coeffs):
+                for a, ua in enumerate(hom.basis_image(i).coeffs):
                     if ua == 0:
                         continue
-                    top = n - a
-                    for b in range(min(len(deriv), top)):
+                    for b in range(min(len(deriv), n - a)):
                         if deriv[b] != 0:
                             out[a + b] += c * ua * deriv[b]
         return TruncatedForm(n, out)
-    raise IncompatibleAlgebrasError(f"cannot push forward along {type(hom).__name__}")
+    target_module = kahler_module(hom.target)
+    total = target_module.zero_form()
+    for j, img in enumerate(hom.images):
+        coefficient = hom.apply(AlgebraElement(source, ambient[j * dim : (j + 1) * dim]))
+        total = total + target_module.act(coefficient, target_module.d(img))
+    return total
 
 
 def h0_de_rham(algebra: ArtinAlgebra) -> Subspace:

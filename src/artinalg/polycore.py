@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    InvalidArgumentError,
     PolynomialSyntaxError,
     UnknownVariableError,
     VariableMismatchError,
@@ -365,6 +366,23 @@ def _tokenize(text: str):
             raise PolynomialSyntaxError(f"unexpected character {ch!r} at position {i}")
     tokens.append(("end", ""))
     return tokens
+
+
+def check_variables(variables: Sequence[str]) -> tuple:
+    """The variables as a tuple, each a distinct name the parser can read.
+
+    A name is what `_tokenize` reads as one: a letter or `_`, then letters,
+    digits or `_`.  Raises InvalidArgumentError naming the first variable
+    that is not a name or is listed twice.
+    """
+    variables = tuple(variables)
+    for i, name in enumerate(variables):
+        starts = isinstance(name, str) and (name[:1].isalpha() or name[:1] == "_")
+        if not (starts and all(ch.isalnum() or ch == "_" for ch in name)):
+            raise InvalidArgumentError(f"variable {name!r} is not a name")
+        if name in variables[:i]:
+            raise InvalidArgumentError(f"variable {name!r} is listed twice")
+    return variables
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:

@@ -144,7 +144,7 @@ def test_criterion_2_staircase_suite():
             report = tau_membership_check(A, omega, homs)
             assert report.all_killed and not report.violations
 
-            cd = critical_degree_search(A, n_max, homs=homs)
+            cd = critical_degree_search(A, homs)
             expected = r // 2 + 1
             assert cd.lower_bound == expected
             assert max(cd.degrees_achieved) == expected  # no found hom exceeds it
@@ -157,7 +157,7 @@ def test_criterion_3_fourth_power_pin():
             ("X", "Y"), ("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4")
         )
         homs = both_strategy_search(A, 16, monomial_budget=2200, dense_budget=300)
-        report = critical_degree_search(A, 16, homs=homs)
+        report = critical_degree_search(A, homs)
         assert report.lower_bound == 3
         assert report.upper_bound == 3  # nilpotency index
         assert report.lower_bound == report.upper_bound  # exact value certified
@@ -303,7 +303,7 @@ def test_criterion_5_property_suites():
             omega = km.d(random_element(rng, A))
             if rng.random() < 0.5:
                 omega = km.act(random_element(rng, A), omega)
-            composite = hom.after(pi)
+            composite = pi.then(hom)
             assert pushforward(composite, omega) == pushforward(
                 hom, pushforward(pi, omega)
             )

@@ -21,6 +21,7 @@ from artinalg.algebra import (
 )
 from artinalg.errors import (
     IncompatibleAlgebrasError,
+    InvalidArgumentError,
     NotGradedError,
     NotLocalOverQError,
     NotZeroDimensionalError,
@@ -59,6 +60,11 @@ class TestBuild:
     def test_not_zero_dimensional(self):
         with pytest.raises(NotZeroDimensionalError):
             algebra_from_strings(("X", "Y"), ("X^2",))
+
+    @pytest.mark.parametrize("variables", [("X", "X"), ("1",), ("X", "Y Z"), ("",)])
+    def test_bad_variables_rejected(self, variables):
+        with pytest.raises(InvalidArgumentError, match=repr(variables[-1])):
+            build_algebra(variables, ["X^2"])
 
     def test_trivial(self):
         with pytest.raises(TrivialAlgebraError):

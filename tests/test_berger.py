@@ -26,6 +26,12 @@ from conftest import algebra_from_strings
 from oracles import random_element
 
 
+def both_strategies(A, n_max, budget):
+    return search_homs(
+        A, n_max, strategy=("monomial", "dense-random"), budget=budget, seed=0
+    )
+
+
 class TestQAlgebra:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_dimension(self, r):
@@ -66,14 +72,14 @@ class TestDegreeOneWitness:
 class TestCriticalDegree:
     def test_q1_reaches_one(self):
         A = q_algebra(1)
-        report = critical_degree_search(A, 8, budget=400)
+        report = critical_degree_search(A, both_strategies(A, 8, 400))
         assert report.lower_bound == 1
         assert report.upper_bound == 1
         assert report.degrees_achieved == (1,)
         assert report.reverify(A)
 
     def test_q2_reaches_two_with_the_expected_witness(self, q2):
-        report = critical_degree_search(q2, 12, budget=2500)
+        report = critical_degree_search(q2, both_strategies(q2, 12, 2500))
         assert report.lower_bound == 2
         assert report.upper_bound == 2
         witness = report.witnesses[2]
@@ -82,21 +88,21 @@ class TestCriticalDegree:
         assert report.reverify(q2)
 
     def test_fourth_power_pins_three(self, m4):
-        report = critical_degree_search(m4, 16, budget=2200)
+        report = critical_degree_search(m4, both_strategies(m4, 16, 2200))
         assert report.lower_bound == 3 == report.upper_bound
         assert report.witnesses[3].hom.describe() == "[N=15] X -> t^4, Y -> t^5"
         assert report.reverify(m4)
 
     def test_ungraded_rejected(self, golden):
         with pytest.raises(NotGradedError):
-            critical_degree_search(golden, 8, budget=10)
+            critical_degree_search(golden, both_strategies(golden, 8, 10))
 
     def test_principal_rejected(self, chain3):
         with pytest.raises(PrincipalAlgebraError):
-            critical_degree_search(chain3, 8, budget=10)
+            critical_degree_search(chain3, both_strategies(chain3, 8, 10))
 
     def test_witnesses_reverify_from_scratch(self, q3):
-        report = critical_degree_search(q3, 16, budget=1500)
+        report = critical_degree_search(q3, both_strategies(q3, 16, 1500))
         assert report.reverify(q3)
         assert report.lower_bound == 2  # floor(3/2) + 1
 
@@ -237,7 +243,8 @@ class TestSocleKill:
 
 class TestTauWitnessGorenstein:
     def test_diagonal_route_works(self, gorenstein_diag):
-        report = tau_witness_gorenstein(gorenstein_diag, n_max=8, budget=300)
+        homs = both_strategies(gorenstein_diag, 8, 300)
+        report = tau_witness_gorenstein(gorenstein_diag, homs)
         assert report.nonzero  # d(socle) != 0 in the graded case
         assert report.all_killed
         assert report.notes["socle_differential_route"] == "ok"

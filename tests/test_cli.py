@@ -144,6 +144,18 @@ class TestAnalyze:
         p.write_text("vars: X Y\ngens: X^2\n")
         assert main(["analyze", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "vars_line, named",
+        [("X X", "'X'"), ("X Y X", "'X'"), ("1", "'1'"), ("X 2Y", "'2Y'"), ("X-Y", "'X-Y'")],
+    )
+    def test_bad_variable_is_input_error(self, capsys, tmp_path, vars_line, named):
+        p = tmp_path / "bad.alg"
+        p.write_text(f"vars: {vars_line}\ngens: X^2\n")
+        assert main(["analyze", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: variable ") and named in err
+        assert "pure power" not in err
+
 
 class TestHoms:
     def test_staircase_search(self, capsys, staircase_path):

@@ -184,7 +184,7 @@ class TestPushforward:
         hom = make_hom(Q, 2, ["t", "t"])  # cubes vanish at this truncation
         km = kahler_module(golden)
         rng = random.Random(31)
-        composite = hom.after(pi)
+        composite = pi.then(hom)
         for _ in range(25):
             omega = km.d(random_element(rng, golden))
             assert pushforward(composite, omega) == pushforward(hom, pushforward(pi, omega))

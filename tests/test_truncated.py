@@ -4,14 +4,17 @@ from itertools import islice, product
 
 import pytest
 
+from artinalg.algebra import AlgebraMap, quotient_algebra
 from artinalg.errors import (
     DependentInputError,
+    IncompatibleAlgebrasError,
     NotLocalOverQError,
     RelationViolatedError,
 )
 from artinalg.truncated import (
     DEFAULT_COEFF_POOL,
     TruncValue,
+    TruncatedHom,
     TruncatedPolyAlgebra,
     make_hom,
     _monomial_profiles,
@@ -65,25 +68,41 @@ class TestTruncValue:
         assert a.add(TruncValue.infinity(), cap=100) == TruncValue.infinity()
 
 
+def kills_every_generator(hom):
+    """Substitute the images into each generator with plain ring arithmetic."""
+    for g in hom.source.gens:
+        total = hom.target.zero()
+        for mono, c in g.terms.items():
+            term = hom.target.one().scale(c)
+            for img, e in zip(hom.images, mono.exps):
+                term = term * img ** e
+            total = total + term
+        if not total.is_zero():
+            return False
+    return True
+
+
 class TestMakeHom:
     def test_staircase_accepts_t2_t3_at_five(self, q2):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
-        assert hom.verified
-        for g in q2.gens:
-            assert hom.evaluate_polynomial(g).is_zero()
+        assert kills_every_generator(hom)
 
     def test_fourth_power_accepts_t4_t5_at_fifteen(self, m4):
         hom = make_hom(m4, 15, ["t^4", "t^5"])
-        assert hom.verified
+        assert kills_every_generator(hom)
 
     def test_staircase_rejects_t2_t3_at_six(self, q2):
         with pytest.raises(RelationViolatedError) as err:
             make_hom(q2, 6, ["t^2", "t^3"])
         assert err.value.residual.order() == 6
+        B = TruncatedPolyAlgebra(6)
+        unchecked = TruncatedHom(q2, B, [B.t_power(2), B.t_power(3)], verify=False)
+        assert not kills_every_generator(unchecked)
+        assert unchecked.violation()[1].order() == 6
 
     def test_coefficient_sequences_accepted(self, q2):
         hom = make_hom(q2, 5, [[0, 0, 1], [0, 0, 0, 2]])
-        assert hom.verified
+        assert kills_every_generator(hom)
 
 
 class TestValuation:
@@ -223,7 +242,7 @@ class TestSearch:
             assert homs
             for hom in homs:
                 rebuilt = make_hom(A, hom.truncation, list(hom.images))
-                assert rebuilt.verified
+                assert kills_every_generator(rebuilt)
 
     def test_deterministic_without_and_with_seed(self, q2):
         a = search_homs(q2, 6, strategy=("monomial", "dense-random"), budget=150, seed=9)
@@ -262,15 +281,52 @@ class TestSearch:
 
 class TestComposition:
     def test_hom_after_quotient(self, q2):
-        from artinalg.algebra import quotient_algebra
-
         Q, pi = quotient_algebra(q2, ["Y"])
         hom = make_hom(Q, 2, ["t", "0"])
-        combo = hom.after(pi)
+        combo = pi.then(hom)
         rng = random.Random(59)
         for _ in range(20):
             a = random_element(rng, q2)
             assert combo.apply(a) == hom.apply(pi.apply(a))
+
+    @pytest.mark.parametrize(
+        "name, extra, n, images, record",
+        [
+            ("q2", "Y", 2, ["t", "0"], [["0", "1", "0"], ["0", "0", "0"]]),
+            ("golden", "X^3", 2, ["t", "t"], [["0", "1", "0"], ["0", "1", "0"]]),
+            ("m4", "X - Y", 3, ["t", "t"], [["0", "1", "0", "0"]] * 2),
+            ("m4", "Y", 3, ["t + 1/2*t^2", "0"], [["0", "1", "1/2", "0"], ["0"] * 4]),
+        ],
+    )
+    def test_quotient_then_hom_is_a_truncated_hom(self, request, name, extra, n, images, record):
+        A = request.getfixturevalue(name)
+        Q, pi = quotient_algebra(A, [extra])
+        combo = pi.then(make_hom(Q, n, images))
+        assert isinstance(combo, TruncatedHom)
+        assert combo.to_record() == {"N": n, "images": record}
+        assert kills_every_generator(combo)
+
+
+class TestImagesLieInTheTarget:
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_truncated_target(self, q2, verify):
+        B, C = TruncatedPolyAlgebra(5), TruncatedPolyAlgebra(6)
+        with pytest.raises(IncompatibleAlgebrasError):
+            TruncatedHom(q2, B, [C.t_power(2), B.t_power(3)], verify=verify)
+        with pytest.raises(IncompatibleAlgebrasError):
+            TruncatedHom(q2, B, [q2.zero(), B.t_power(3)], verify=verify)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_algebra_target(self, q2, chain3, verify):
+        x = chain3.variable_element("X")
+        with pytest.raises(IncompatibleAlgebrasError):
+            AlgebraMap(q2, chain3, [x, q2.zero()], verify=verify)
+        with pytest.raises(IncompatibleAlgebrasError):
+            AlgebraMap(q2, chain3, [x, TruncatedPolyAlgebra(2).zero()], verify=verify)
+
+    def test_make_hom_rejects_a_foreign_truncation(self, q2):
+        with pytest.raises(IncompatibleAlgebrasError):
+            make_hom(q2, 5, [TruncatedPolyAlgebra(6).t_power(2), "t^3"])
 
 
 class TestMonomialProfiles:
