@@ -68,13 +68,11 @@ from .groebner import (
 from .kahler import (
     DifferentialForm,
     KahlerModule,
-    TruncatedForm,
     d,
     embedding_obstruction,
     h0_de_rham,
     kahler_module,
     pushforward,
-    truncated_differential,
 )
 from .polycore import (
     Monomial,
@@ -86,7 +84,6 @@ from .truncated import (
     DEFAULT_COEFF_POOL,
     TruncValue,
     TruncatedHom,
-    TruncatedPoly,
     TruncatedPolyAlgebra,
     make_hom,
     search_homs,

@@ -2,13 +2,17 @@
 
 An `ArtinAlgebra` is Q[X1..Xm]/I presented by a reduced Groebner basis:
 its vector-space basis is the standard monomials and multiplication is a
-precomputed table of normal-form coordinates.  Everything downstream
-(socle, nilradical, gradings, differentials, homomorphism searches) is
-exact linear algebra over that table.
+table of normal-form coordinates, built with every algebra from
+`build_algebra`.  Everything downstream (socle, nilradical, gradings,
+differentials, homomorphism searches) is exact linear algebra over that
+multiplication.  A subclass may multiply coordinates its own way: the
+truncated rings Q[t]/<t^(N+1)> (`truncated.TruncatedPolyAlgebra`) convolve
+and derive the table only if a structural function reads it.
 
 `AlgebraMap` is the one homomorphism type, with the only verification,
-evaluation and composition code.  Its target is an ArtinAlgebra (quotient
-surjections) or Q[t]/<t^(N+1)> (its subclass `truncated.TruncatedHom`).
+evaluation and composition code.  Its target is an ArtinAlgebra: a
+quotient (surjections) or Q[t]/<t^(N+1)> (the subclass
+`truncated.TruncatedHom`).
 
 The nilradical is computed as the radical of the trace bilinear form
 (a, b) -> trace(multiplication by ab), which equals the set of nilpotents
@@ -19,6 +23,7 @@ cross-check against brute-force nilpotency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -115,39 +120,59 @@ class AlgebraElement:
         self.algebra = algebra
         self.coords = coords
 
+    @classmethod
+    def _raw(cls, algebra: "ArtinAlgebra", coords: tuple) -> "AlgebraElement":
+        """Internal constructor; coords must already be a Fraction tuple of length dim."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.coords = coords
+        return self
+
     def _check(self, other: "AlgebraElement"):
         if self.algebra is not other.algebra:
             raise IncompatibleAlgebrasError("elements of different algebras")
 
     def __add__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return AlgebraElement._raw(
+            self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords))
+        )
 
     def __sub__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return AlgebraElement._raw(
+            self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords))
+        )
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.coords])
+        return AlgebraElement._raw(self.algebra, tuple(-a for a in self.coords))
 
     def scale(self, value):
         c = Fraction(value)
-        return AlgebraElement(self.algebra, [c * a for a in self.coords])
+        return AlgebraElement._raw(self.algebra, tuple(c * a for a in self.coords))
 
     def __mul__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
+        return AlgebraElement._raw(
+            self.algebra, tuple(self.algebra.multiply_coords(self.coords, other.coords))
+        )
 
     def __pow__(self, exponent: int):
+        """Square-and-multiply."""
         if exponent < 0:
             raise ValueError("negative power in an Artinian algebra")
         result = self.algebra.one()
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other):
         return (
@@ -198,7 +223,6 @@ class ArtinAlgebra:
         self.dim = len(basis)
         self.degrees = tuple(m.degree for m in basis)
         self._nf_cache: dict = {}
-        self.mult_table = self._build_mult_table()
         self._nilradical = None
         self._grading = None
         self._kahler = None
@@ -219,7 +243,9 @@ class ArtinAlgebra:
         self._nf_cache[mono] = coords
         return coords
 
-    def _build_mult_table(self):
+    @cached_property
+    def mult_table(self):
+        """Coordinates of basis[i] * basis[j], derived on first read."""
         table = []
         for i in range(self.dim):
             row = []
@@ -253,7 +279,7 @@ class ArtinAlgebra:
         return self.from_polynomial(parse_polynomial(text, self.variables))
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, [ZERO] * self.dim)
+        return AlgebraElement._raw(self, (ZERO,) * self.dim)
 
     def one(self) -> AlgebraElement:
         return self.basis_element(self.basis.index(Monomial((0,) * len(self.variables))))
@@ -261,12 +287,13 @@ class ArtinAlgebra:
     def basis_element(self, i: int) -> AlgebraElement:
         coords = [ZERO] * self.dim
         coords[i] = ONE
-        return AlgebraElement(self, coords)
+        return AlgebraElement._raw(self, tuple(coords))
 
     def variable_element(self, name: str) -> AlgebraElement:
         return self.from_polynomial(Polynomial.variable(self.variables, name))
 
     def multiply_coords(self, a, b):
+        """Coordinates of the product of two coordinate vectors."""
         out = [ZERO] * self.dim
         table = self.mult_table
         for i, ai in enumerate(a):
@@ -319,7 +346,9 @@ def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinA
     basis = standard_monomials(gb)
     if len(basis) == 0:
         raise TrivialAlgebraError("quotient algebra is zero")
-    return ArtinAlgebra(variables, gens, order, gb, basis)
+    algebra = ArtinAlgebra(variables, gens, order, gb, basis)
+    algebra.mult_table  # built here: every product of a presented quotient reads it
+    return algebra
 
 
 def _parse(variables, text):
@@ -332,12 +361,11 @@ def _parse(variables, text):
 
 
 class AlgebraMap:
-    """An algebra homomorphism out of an ArtinAlgebra, fixed by variable images.
+    """An algebra homomorphism between ArtinAlgebras, fixed by variable images.
 
-    The target is an ArtinAlgebra or a truncated ring Q[t]/<t^(N+1)>
-    (`truncated.TruncatedPolyAlgebra`); only `one()`/`zero()` and the
-    elements' `+`, `*`, `**`, `scale` and `is_zero` are used.  Every image
-    must lie in the target.  With `verify` (the default) construction
+    The target may be a truncated ring Q[t]/<t^(N+1)>
+    (`truncated.TruncatedPolyAlgebra`).  Every image must lie in the
+    target.  With `verify` (the default) construction
     checks that every ideal generator of the source evaluates to zero.
     Image powers and basis images are computed once, on first use.
     """

@@ -118,7 +118,7 @@ def _component_indices(algebra: ArtinAlgebra, degree: int):
 
 def _image_rank(algebra: ArtinAlgebra, hom: TruncatedHom, degree: int) -> int:
     rows = [
-        list(hom.basis_image(i).coeffs) for i in _component_indices(algebra, degree)
+        list(hom.basis_image(i).coords) for i in _component_indices(algebra, degree)
     ]
     return linalg.rank(rows)
 

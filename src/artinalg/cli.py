@@ -67,6 +67,8 @@ def parse_algebra_file(path: str):
             raw = fh.read()
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(f"{path} is not UTF-8 text: {exc}") from exc
     variables = None
     gens_text: list[str] = []
     in_gens = False
@@ -238,7 +240,7 @@ def cmd_tau(args) -> tuple[dict, int]:
             "element_killed_by_all": not element_violations,
             "element_violations": [h.to_record() for h in element_violations],
         }
-    elif args.r:
+    elif args.r is not None:
         # degree-one basis monomials in variable order (X before Y etc.)
         indexed = sorted(
             (

@@ -12,11 +12,12 @@ suite checks that dimension agreement empirically.  Reduction against the
 RREF of the relation span gives canonical representatives, and a form is
 stored by its coordinates on the non-pivot slots.
 
-The same file provides the forms of a truncated polynomial ring
-Q[t]/<t^(N+1)>: there d(t^(N+1)) = 0 forces t^N dt = 0 (characteristic
-zero), so Omega has basis dt, t dt, ..., t^(N-1) dt.  `pushforward` takes
-any AlgebraMap; only its accumulation step depends on the target kind, and
-for a truncated target it works term by term on coefficient vectors.
+A truncated ring Q[t]/<t^(N+1)> is an ArtinAlgebra like any other, so
+its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
+(characteristic zero), and the quotient coordinates are the coefficients
+of dt, t dt, ..., t^(N-1) dt.  `pushforward` takes any AlgebraMap and
+returns a form of the target's module; into a truncated ring it sums
+term by term on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .algebra import (
 )
 from .errors import IncompatibleAlgebrasError, NotLocalOverQError
 from .polycore import Polynomial
-from .truncated import TruncatedPoly, TruncatedPolyAlgebra
+from .truncated import TruncatedPolyAlgebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -99,41 +100,6 @@ class DifferentialForm:
                 poly = AlgebraElement(A, block).to_polynomial().to_string(A.order)
                 pieces.append(f"({poly})*d{name}")
         return " + ".join(pieces) if pieces else "0"
-
-
-class TruncatedForm:
-    """A form f(t) dt over Q[t]/<t^(N+1)>, with t^N dt = 0."""
-
-    __slots__ = ("truncation", "coords")
-
-    def __init__(self, truncation: int, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != truncation:
-            raise IncompatibleAlgebrasError("coefficient vector has wrong length")
-        self.truncation = truncation
-        self.coords = coords
-
-    def __add__(self, other):
-        if self.truncation != other.truncation:
-            raise IncompatibleAlgebrasError("forms over different truncations")
-        return TruncatedForm(self.truncation, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, value):
-        c = Fraction(value)
-        return TruncatedForm(self.truncation, [c * a for a in self.coords])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedForm)
-            and self.truncation == other.truncation
-            and self.coords == other.coords
-        )
-
-    def __repr__(self):
-        return f"<TruncatedForm {list(self.coords)} (t^k dt, k < {self.truncation})>"
 
 
 class KahlerModule:
@@ -237,18 +203,10 @@ def d(element: AlgebraElement) -> DifferentialForm:
     return kahler_module(element.algebra).d(element)
 
 
-def truncated_differential(value: TruncatedPoly) -> TruncatedForm:
-    """d of an element of Q[t]/<t^(N+1)>, in the basis t^k dt (k < N)."""
-    n = value.truncation
-    deriv = value.derivative_coeffs()
-    return TruncatedForm(n, deriv[:n])
-
-
-def pushforward(hom: AlgebraMap, form: DifferentialForm):
+def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     """Functorial map on forms along a homomorphism: sum a dX_j -> h(a) d(h(X_j)).
 
-    The result lives over the map's target: a DifferentialForm when it is
-    an ArtinAlgebra, a TruncatedForm when it is Q[t]/<t^(N+1)>.  Satisfies
+    The result is a form of the target's module.  Satisfies
     pushforward(h, d(a)) = d(h(a)).
     """
     module = form.module
@@ -257,25 +215,26 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm):
         raise IncompatibleAlgebrasError("form does not live over the map's source")
     ambient = module.ambient_representative(form)
     dim = source.dim
+    target_module = kahler_module(hom.target)
     if isinstance(hom.target, TruncatedPolyAlgebra):
-        # coefficients of u * h_j' below degree n, term by term: the images
-        # are mostly zero, so dense TruncatedPoly arithmetic costs more
+        # the coordinates are the coefficients of t^k dt for k < n; sum
+        # u * h_j' term by term, because the images are mostly zero and
+        # going through apply and act costs more
         n = hom.target.truncation
         out = [ZERO] * n
         for j, img in enumerate(hom.images):
-            deriv = img.derivative_coeffs()
+            deriv = [c * k for k, c in enumerate(img.coords)][1:]
             for i in range(dim):
                 c = ambient[j * dim + i]
                 if c == 0:
                     continue
-                for a, ua in enumerate(hom.basis_image(i).coeffs):
+                for a, ua in enumerate(hom.basis_image(i).coords):
                     if ua == 0:
                         continue
                     for b in range(min(len(deriv), n - a)):
                         if deriv[b] != 0:
                             out[a + b] += c * ua * deriv[b]
-        return TruncatedForm(n, out)
-    target_module = kahler_module(hom.target)
+        return DifferentialForm(target_module, out)
     total = target_module.zero_form()
     for j, img in enumerate(hom.images):
         coefficient = hom.apply(AlgebraElement(source, ambient[j * dim : (j + 1) * dim]))

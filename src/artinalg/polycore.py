@@ -350,11 +350,16 @@ def _tokenize(text: str):
         elif ch in "+-*/^()":
             tokens.append((ch, ch))
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j]))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError as exc:  # beyond int()'s limit on decimal digits
+                raise PolynomialSyntaxError(
+                    f"number at position {i} has too many digits ({j - i})"
+                ) from exc
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -410,10 +415,10 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
         return tok
 
     def parse_rational() -> Fraction:
-        num = int(take("int")[1])
+        num = take("int")[1]
         if peek() == "/":
             take("/")
-            den = int(take("int")[1])
+            den = take("int")[1]
             if den == 0:
                 raise PolynomialSyntaxError("zero denominator")
             return Fraction(num, den)
@@ -426,7 +431,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
         exp = 1
         if peek() == "^":
             take("^")
-            exp = int(take("int")[1])
+            exp = take("int")[1]
             if exp < 1:
                 raise PolynomialSyntaxError("exponent must be >= 1")
         return index[name], exp

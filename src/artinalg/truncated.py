@@ -1,5 +1,9 @@
 """Truncated polynomial rings Q[t]/<t^(N+1)>, valuations and hom search.
 
+The ring Q[t]/<t^(N+1)> is a `TruncatedPolyAlgebra`, an `ArtinAlgebra`
+whose elements are `AlgebraElement`s holding the coefficients of t^k;
+it differs from a presented quotient only in how it multiplies.
+
 A homomorphism from a quotient algebra into a truncated ring is a
 `TruncatedHom`: an `algebra.AlgebraMap`, stored by the images of the
 source variables and verified the same way, plus what reads the truncated
@@ -31,7 +35,8 @@ from .errors import (
     NotLocalOverQError,
     RelationViolatedError,
 )
-from .polycore import Polynomial, parse_polynomial
+from .groebner import GroebnerBasis, StandardMonomialBasis
+from .polycore import Monomial, MonomialOrder, Polynomial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,174 +53,74 @@ DEFAULT_COEFF_POOL = (
 )
 
 
-class TruncatedPolyAlgebra:
-    """The ring Q[t]/<t^(N+1)> for a fixed truncation N >= 0."""
+class TruncatedPolyAlgebra(ArtinAlgebra):
+    """The ring Q[t]/<t^(N+1)> for a fixed truncation N >= 0.
 
-    __slots__ = ("truncation",)
+    An ArtinAlgebra over ("t",) with Groebner basis {t^(N+1)} and basis
+    1, t, ..., t^N, so coordinates are the coefficients of t^k.  There is
+    one ring per N.  Multiplication is truncated convolution: the ring
+    stores no multiplication table (it would hold (N+1)^3 entries) and
+    derives one only if a structural function reads it.
+    """
+
+    _rings: dict = {}
+
+    def __new__(cls, truncation: int):
+        ring = cls._rings.get(truncation)
+        if ring is None:
+            if truncation < 0:
+                raise InvalidArgumentError(f"truncation must be >= 0, got {truncation}")
+            variables = ("t",)
+            order = MonomialOrder.grevlex(variables)
+            relation = Polynomial.from_monomial(variables, Monomial((truncation + 1,)))
+            basis = StandardMonomialBasis(
+                variables, [Monomial((e,)) for e in range(truncation + 1)]
+            )
+            ring = super().__new__(cls)
+            ArtinAlgebra.__init__(
+                ring, variables, (relation,), order,
+                GroebnerBasis(variables, order, (relation,)), basis,
+            )
+            ring.truncation = truncation
+            cls._rings[truncation] = ring
+        return ring
 
     def __init__(self, truncation: int):
-        if truncation < 0:
-            raise InvalidArgumentError(f"truncation must be >= 0, got {truncation}")
-        self.truncation = truncation
+        """Nothing to do: __new__ builds each ring once."""
 
-    def zero(self) -> "TruncatedPoly":
-        return TruncatedPoly._raw(self.truncation, (ZERO,) * (self.truncation + 1))
+    def multiply_coords(self, a, b):
+        n = self.truncation
+        out = [ZERO] * (n + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b[: n + 1 - i]):
+                    if bj:
+                        out[i + j] += ai * bj
+        return out
 
-    def one(self) -> "TruncatedPoly":
-        coeffs = [ZERO] * (self.truncation + 1)
-        coeffs[0] = ONE
-        return TruncatedPoly._raw(self.truncation, tuple(coeffs))
-
-    def t_power(self, exponent: int, coefficient=ONE) -> "TruncatedPoly":
+    def t_power(self, exponent: int, coefficient=ONE) -> AlgebraElement:
         coeffs = [ZERO] * (self.truncation + 1)
         if 0 <= exponent <= self.truncation:
             coeffs[exponent] = Fraction(coefficient)
-        return TruncatedPoly._raw(self.truncation, tuple(coeffs))
+        return AlgebraElement._raw(self, tuple(coeffs))
 
-    def from_coeffs(self, coeffs: Iterable) -> "TruncatedPoly":
-        coeffs = [Fraction(c) for c in coeffs]
-        coeffs = coeffs[: self.truncation + 1]
+    def from_coeffs(self, coeffs: Iterable) -> AlgebraElement:
+        """The element with these t^k coefficients, padded or cut to length N+1."""
+        coeffs = [Fraction(c) for c in coeffs][: self.truncation + 1]
         coeffs += [ZERO] * (self.truncation + 1 - len(coeffs))
-        return TruncatedPoly(self.truncation, coeffs)
+        return AlgebraElement._raw(self, tuple(coeffs))
 
-    def from_polynomial(self, p: Polynomial) -> "TruncatedPoly":
-        """A univariate polynomial in t, truncated."""
-        if len(p.variables) != 1:
-            raise IncompatibleAlgebrasError("expected a polynomial in the single variable t")
-        coeffs = [ZERO] * (self.truncation + 1)
-        for mono, c in p.terms.items():
-            e = mono.exps[0]
-            if e <= self.truncation:
-                coeffs[e] += c
-        return TruncatedPoly(self.truncation, coeffs)
+    def t_order(self, element: AlgebraElement) -> int | None:
+        """The least k with a nonzero t^k coefficient, None for zero.
 
-    def from_string(self, text: str) -> "TruncatedPoly":
-        return self.from_polynomial(parse_polynomial(text, ("t",)))
-
-    def __contains__(self, element) -> bool:
-        return isinstance(element, TruncatedPoly) and element.truncation == self.truncation
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedPolyAlgebra) and self.truncation == other.truncation
-
-    def __hash__(self):
-        return hash(("TruncatedPolyAlgebra", self.truncation))
+        An element is a unit exactly when its t-order is 0.
+        """
+        if element not in self:
+            raise IncompatibleAlgebrasError("element of a different ring")
+        return next((k for k, c in enumerate(element.coords) if c), None)
 
     def __repr__(self):
         return f"<Q[t]/<t^{self.truncation + 1}>>"
-
-
-class TruncatedPoly:
-    """An element of Q[t]/<t^(N+1)> as a dense coefficient vector."""
-
-    __slots__ = ("truncation", "coeffs")
-
-    def __init__(self, truncation: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != truncation + 1:
-            raise IncompatibleAlgebrasError("coefficient vector has wrong length")
-        self.truncation = truncation
-        self.coeffs = coeffs
-
-    @classmethod
-    def _raw(cls, truncation: int, coeffs: tuple) -> "TruncatedPoly":
-        """Internal constructor; coeffs must already be a Fraction tuple."""
-        self = object.__new__(cls)
-        self.truncation = truncation
-        self.coeffs = coeffs
-        return self
-
-    def _check(self, other: "TruncatedPoly"):
-        if self.truncation != other.truncation:
-            raise IncompatibleAlgebrasError("elements of different truncations")
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedPoly._raw(
-            self.truncation, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedPoly._raw(
-            self.truncation, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return TruncatedPoly._raw(self.truncation, tuple(-a for a in self.coeffs))
-
-    def scale(self, value):
-        c = Fraction(value)
-        return TruncatedPoly._raw(self.truncation, tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        n = self.truncation
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            top = n - i
-            for j, b in enumerate(other.coeffs[: top + 1]):
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedPoly._raw(n, tuple(out))
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative power")
-        coeffs = [ZERO] * (self.truncation + 1)
-        coeffs[0] = ONE
-        result = TruncatedPoly._raw(self.truncation, tuple(coeffs))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def order(self) -> int | None:
-        """t-order; None when the element is zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def is_unit(self) -> bool:
-        return self.coeffs[0] != 0
-
-    def derivative_coeffs(self):
-        """Coefficients of d/dt, indexed by degree (length N)."""
-        return [self.coeffs[k] * k for k in range(1, self.truncation + 1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedPoly)
-            and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.truncation, self.coeffs))
-
-    def to_string(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = {}
-        from .polycore import Monomial
-
-        for e, c in enumerate(self.coeffs):
-            if c != 0:
-                terms[Monomial((e,))] = c
-        return Polynomial(("t",), terms).to_string()
-
-    def __repr__(self):
-        return f"<{self.to_string()} mod t^{self.truncation + 1}>"
 
 
 class TruncValue:
@@ -298,21 +203,21 @@ class TruncatedHom(AlgebraMap):
         return self.target.truncation
 
     def valuation(self, element: AlgebraElement) -> TruncValue:
-        return TruncValue(self.apply(element).order())
+        return TruncValue(self.target.t_order(self.apply(element)))
 
     def key(self):
         """Canonical sort/dedup key: (N, image coefficient tuples)."""
-        return (self.truncation, tuple(img.coeffs for img in self.images))
+        return (self.truncation, tuple(img.coords for img in self.images))
 
     def to_record(self) -> dict:
         return {
             "N": self.truncation,
-            "images": [[str(c) for c in img.coeffs] for img in self.images],
+            "images": [[str(c) for c in img.coords] for img in self.images],
         }
 
     def describe(self) -> str:
         pieces = [
-            f"{name} -> {img.to_string()}"
+            f"{name} -> {img.to_polynomial().to_string()}"
             for name, img in zip(self.source.variables, self.images)
         ]
         return f"[N={self.truncation}] " + ", ".join(pieces)
@@ -321,14 +226,14 @@ class TruncatedHom(AlgebraMap):
 def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
     """Build and verify a homomorphism from generator images.
 
-    `images` entries may be TruncatedPoly values, coefficient sequences,
-    polynomials in t, or strings like "t^2".  Raises
+    `images` entries may be elements of the target ring, coefficient
+    sequences, polynomials in t, or strings like "t^2".  Raises
     RelationViolatedError naming the first violated generator.
     """
     target = TruncatedPolyAlgebra(truncation)
     normalized = []
     for img in images:
-        if isinstance(img, TruncatedPoly):
+        if isinstance(img, AlgebraElement):
             normalized.append(img)
         elif isinstance(img, Polynomial):
             normalized.append(target.from_polynomial(img))
@@ -358,7 +263,7 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     if linalg.rank([list(e.coords) for e in elements]) != len(elements):
         raise DependentInputError("input elements are linearly dependent")
 
-    rows = [[list(hom.apply(e).coeffs), e] for e in elements]
+    rows = [[list(hom.apply(e).coords), e] for e in elements]
     finished = []
     while True:
         best = None
@@ -454,7 +359,7 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images, found):
             images = tuple(
                 target.t_power(e, c) for e, c in zip(profile, coeffs)
             )
-            key = (n, tuple(img.coeffs for img in images))
+            key = (n, tuple(img.coords for img in images))
             yield None if key in found else TruncatedHom(
                 algebra, target, images, verify=False
             )
@@ -466,6 +371,7 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images, found):
     nvars = len(algebra.variables)
     while True:
         n = rng.randint(1, n_max)
+        target = TruncatedPolyAlgebra(n)
         images = []
         for _ in range(nvars):
             lead = rng.randint(1, n)
@@ -474,8 +380,8 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images, found):
             for k in range(lead + 1, min(n, lead + 4) + 1):
                 if rng.random() < 0.4:
                     coeffs[k] = rng.choice(pool)
-            images.append(TruncatedPoly(n, coeffs))
-        probe = TruncatedHom(algebra, TruncatedPolyAlgebra(n), images, verify=False)
+            images.append(AlgebraElement(target, coeffs))
+        probe = TruncatedHom(algebra, target, images, verify=False)
         yield probe if probe.violation() is None else None
 
 
@@ -483,7 +389,7 @@ def _user_stream(algebra, n_max, pool, seed, user_images, found):
     """The supplied image sets, each verified at truncation n_max."""
     if not user_images:
         return
-    single = isinstance(user_images[0], (str, Polynomial, TruncatedPoly))
+    single = isinstance(user_images[0], (str, Polynomial, AlgebraElement))
     for image_set in [user_images] if single else user_images:
         try:
             hom = make_hom(algebra, n_max, image_set)

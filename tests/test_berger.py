@@ -56,7 +56,7 @@ class TestDegreeOneWitness:
             ]
             from artinalg import linalg
 
-            rows = [list(hom.apply(e).coeffs) for e in degree_one]
+            rows = [list(hom.apply(e).coords) for e in degree_one]
             assert linalg.rank(rows) == 2
 
     def test_respects_linear_relations(self):

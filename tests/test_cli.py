@@ -3,10 +3,11 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artinalg.cli import main, parse_algebra_file
-from artinalg.errors import AlgebraFileError
+from artinalg.errors import AlgebraFileError, ArtinalgError
+from artinalg.polycore import parse_polynomial
 
 GOLDEN_FILE = """\
 # quotient with an ungradable Gorenstein structure
@@ -30,6 +31,16 @@ FOURTH_POWER_FILE = """\
 vars: X Y
 gens: X^4; X^3*Y; X^2*Y^2; X*Y^3; Y^4
 """
+
+# text built from polynomial and file syntax and from digits that are not
+# ASCII: the superscripts are str.isdigit() but not decimal, the
+# Arabic-Indic and full-width ones are decimal
+NOISY = st.lists(
+    st.sampled_from(
+        list("XYZt019+-*/^(); :#\n\t_") + ["vars:", "gens:", "²", "³", "٣", "１", "\u00a0"]
+    ),
+    max_size=40,
+).map("".join)
 
 
 @pytest.fixture()
@@ -91,6 +102,50 @@ class TestFileParsing:
         variables, gens = parse_algebra_file(str(p))
         assert variables == ("X",) and gens == ["X^2"]
 
+    def test_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "bad.alg"
+        p.write_bytes(b"vars: X\ngens: X^2 \xff\xfe\n")
+        with pytest.raises(AlgebraFileError):
+            parse_algebra_file(str(p))
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestArbitraryInput:
+    """Parsing either returns or raises an ArtinalgError, whatever the input."""
+
+    @settings(
+        deadline=None,
+        max_examples=200,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        content=st.one_of(
+            st.binary(max_size=120),
+            NOISY.map(
+                lambda body: ("vars: X Y\ngens: " + body).encode("utf-8")
+            ),
+            st.text(max_size=80).map(lambda text: text.encode("utf-8")),
+        )
+    )
+    def test_file_bytes(self, tmp_path, content):
+        p = tmp_path / "fuzz.alg"
+        p.write_bytes(content)
+        try:
+            variables, gens = parse_algebra_file(str(p))
+            for g in gens:
+                parse_polynomial(g, variables)
+        except ArtinalgError:
+            pass
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=st.one_of(NOISY, st.text(max_size=60)))
+    def test_polynomial_text(self, text):
+        try:
+            parse_polynomial(text, ("X", "Y"))
+        except ArtinalgError:
+            pass
+
 
 class TestAnalyze:
     def test_golden_analysis(self, capsys, golden_path):
@@ -138,6 +193,18 @@ class TestAnalyze:
         p = tmp_path / "bad.alg"
         p.write_text("vars: X\ngens: X^^2\n")
         assert main(["analyze", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "gens",
+        ["X^\u00b2", "X\u00b2", "1" * 5000 + "*X^2", "X^2 + 1/" + "7" * 5000],
+        ids=["superscript-exponent", "superscript-in-name", "long-coefficient", "long-denominator"],
+    )
+    def test_bad_number_is_input_error(self, capsys, tmp_path, gens):
+        p = tmp_path / "bad.alg"
+        p.write_text(f"vars: X\ngens: {gens}\n", encoding="utf-8")
+        assert main(["analyze", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_positive_dimensional_exit_code(self, capsys, tmp_path):
         p = tmp_path / "bad.alg"
@@ -193,14 +260,18 @@ class TestHoms:
 
 class TestBadSearchFlags:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["homs", "--strategy", "bogus"],
-            ["homs", "--nmax", "0", "--strategy", "dense-random"],
-            ["homs", "--nmax", "-3"],
-            ["homs", "--budget", "-5"],
-            ["tau", "--r", "-1"],
-            ["homs", "--nmax", "-1", "--strategy", "user", "--images", "t;t"],
+            (["homs", "--strategy", "bogus"], "unknown strategy 'bogus'"),
+            (["homs", "--nmax", "0", "--strategy", "dense-random"], "n_max must be >= 1, got 0"),
+            (["homs", "--nmax", "-3"], "n_max must be >= 1, got -3"),
+            (["homs", "--budget", "-5"], "budget must be >= 0, got -5"),
+            (["tau", "--r", "-1"], "r must be >= 1, got -1"),
+            (["tau", "--r", "0"], "r must be >= 1, got 0"),
+            (
+                ["homs", "--nmax", "-1", "--strategy", "user", "--images", "t;t"],
+                "truncation must be >= 0, got -1",
+            ),
         ],
         ids=[
             "unknown-strategy",
@@ -208,14 +279,15 @@ class TestBadSearchFlags:
             "nmax-negative",
             "budget-negative",
             "r-negative",
+            "r-zero",
             "nmax-negative-user-images",
         ],
     )
-    def test_input_error(self, capsys, staircase_path, argv):
+    def test_input_error(self, capsys, staircase_path, argv, message):
         code = main([argv[0], staircase_path, *argv[1:]])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {message}")
         assert "Traceback" not in captured.err
 
     @settings(deadline=None, max_examples=30)
