@@ -132,16 +132,18 @@ class AlgebraElement:
         if self.algebra is not other.algebra:
             raise IncompatibleAlgebrasError("elements of different algebras")
 
+    # The arithmetic below does no Fraction work on a zero coordinate.
+
     def __add__(self, other):
         self._check(other)
         return AlgebraElement._raw(
-            self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords))
+            self.algebra, tuple(a + b if b else a for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other):
         self._check(other)
         return AlgebraElement._raw(
-            self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords))
+            self.algebra, tuple(a - b if b else a for a, b in zip(self.coords, other.coords))
         )
 
     def __neg__(self):
@@ -149,7 +151,7 @@ class AlgebraElement:
 
     def scale(self, value):
         c = Fraction(value)
-        return AlgebraElement._raw(self.algebra, tuple(c * a for a in self.coords))
+        return AlgebraElement._raw(self.algebra, tuple(c * a if a else ZERO for a in self.coords))
 
     def __mul__(self, other):
         self._check(other)
@@ -188,7 +190,7 @@ class AlgebraElement:
         terms = {
             mono: c
             for mono, c in zip(self.algebra.basis, self.coords)
-            if c != 0
+            if c
         }
         return Polynomial(self.algebra.variables, terms)
 
@@ -297,15 +299,15 @@ class ArtinAlgebra:
         out = [ZERO] * self.dim
         table = self.mult_table
         for i, ai in enumerate(a):
-            if ai == 0:
+            if not ai:
                 continue
             row = table[i]
             for j, bj in enumerate(b):
-                if bj == 0:
+                if not bj:
                     continue
                 f = ai * bj
                 for k, t in enumerate(row[j]):
-                    if t != 0:
+                    if t:
                         out[k] += f * t
         return out
 
@@ -418,7 +420,9 @@ class AlgebraMap:
     def evaluate_polynomial(self, p: Polynomial):
         total = self.target.zero()
         for mono, c in p.terms.items():
-            total = total + self.evaluate_monomial(mono.exps).scale(c)
+            image = self.evaluate_monomial(mono.exps)
+            if not image.is_zero():
+                total = total + image.scale(c)
         return total
 
     def basis_image(self, i: int):
@@ -436,7 +440,7 @@ class AlgebraMap:
             raise IncompatibleAlgebrasError("element not in the source algebra")
         total = self.target.zero()
         for i, c in enumerate(element.coords):
-            if c != 0:
+            if c:
                 total = total + self.basis_image(i).scale(c)
         return total
 
@@ -482,7 +486,7 @@ def nilradical(algebra: ArtinAlgebra) -> Subspace:
     for i in range(dim):
         row = []
         for j in range(dim):
-            row.append(sum((t * traces[l] for l, t in enumerate(table[i][j]) if t != 0), ZERO))
+            row.append(sum((t * traces[l] for l, t in enumerate(table[i][j]) if t), ZERO))
         gram.append(row)
     kernel = linalg.kernel_basis(gram, dim)
     space = Subspace.from_vectors(kernel, dim, owner=algebra)
@@ -542,11 +546,11 @@ def socle(algebra: ArtinAlgebra) -> Subspace:
         # matrix of v -> m*v, stacked row by row over output coordinates
         mat = [[ZERO] * dim for _ in range(dim)]
         for i, mi in enumerate(mrow):
-            if mi == 0:
+            if not mi:
                 continue
             for j in range(dim):
                 for k, t in enumerate(table[i][j]):
-                    if t != 0:
+                    if t:
                         mat[k][j] += mi * t
         rows.extend(mat)
     kernel = linalg.kernel_basis(rows, dim)

@@ -228,18 +228,11 @@ def cmd_critdeg(args) -> tuple[dict, int]:
 
 def cmd_tau(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
-    homs = _search(algebra, args)
-    km = kahler_module(algebra)
+    # the witness is built, and so checked, before the search
+    element = None
     if args.witness:
         element = algebra.from_polynomial(parse_polynomial(args.witness, algebra.variables))
-        witness_form = km.d(element)
-        element_text = element.to_polynomial().to_string(algebra.order)
-        element_violations = _kill_report(element, homs, element_text, {}).violations
-        element_part = {
-            "element": element_text,
-            "element_killed_by_all": not element_violations,
-            "element_violations": [h.to_record() for h in element_violations],
-        }
+        witness_form = kahler_module(algebra).d(element)
     elif args.r is not None:
         # degree-one basis monomials in variable order (X before Y etc.)
         indexed = sorted(
@@ -253,10 +246,19 @@ def cmd_tau(args) -> tuple[dict, int]:
         if len(degree_one) < 2:
             raise ArtinalgError("need two degree-one basis monomials for --r mode")
         witness_form = omega_witness(algebra, degree_one[0], degree_one[1], args.r)
-        element_part = {"element": None}
-        element_violations = []
     else:
         raise AlgebraFileError("tau needs --witness <polynomial> or --r <int>")
+    homs = _search(algebra, args)
+    element_part = {"element": None}
+    element_violations = []
+    if element is not None:
+        element_text = element.to_polynomial().to_string(algebra.order)
+        element_violations = _kill_report(element, homs, element_text, {}).violations
+        element_part = {
+            "element": element_text,
+            "element_killed_by_all": not element_violations,
+            "element_violations": [h.to_record() for h in element_violations],
+        }
     report = tau_membership_check(algebra, witness_form, homs)
     results = {
         **element_part,

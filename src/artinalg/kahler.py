@@ -73,7 +73,7 @@ class DifferentialForm:
         return DifferentialForm(self.module, [c * a for a in self.coords])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other):
         return (
@@ -96,7 +96,7 @@ class DifferentialForm:
         pieces = []
         for j, name in enumerate(A.variables):
             block = ambient[j * dim : (j + 1) * dim]
-            if any(c != 0 for c in block):
+            if any(block):
                 poly = AlgebraElement(A, block).to_polynomial().to_string(A.order)
                 pieces.append(f"({poly})*d{name}")
         return " + ".join(pieces) if pieces else "0"
@@ -124,7 +124,7 @@ class KahlerModule:
                 vec = []
                 for j in range(nvars):
                     vec.extend(algebra.multiply_coords(basis_coords, partials[j]))
-                if any(c != 0 for c in vec):
+                if any(vec):
                     relations.append(vec)
         self.rel_rows, self.rel_pivots = linalg.rref(relations)
         pivot_set = set(self.rel_pivots)
@@ -226,13 +226,13 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
             deriv = [c * k for k, c in enumerate(img.coords)][1:]
             for i in range(dim):
                 c = ambient[j * dim + i]
-                if c == 0:
+                if not c:
                     continue
                 for a, ua in enumerate(hom.basis_image(i).coords):
-                    if ua == 0:
+                    if not ua:
                         continue
                     for b in range(min(len(deriv), n - a)):
-                        if deriv[b] != 0:
+                        if deriv[b]:
                             out[a + b] += c * ua * deriv[b]
         return DifferentialForm(target_module, out)
     total = target_module.zero_form()

@@ -4,6 +4,15 @@ Row-echelon machinery shared by the Groebner, algebra and differentials
 layers.  Vectors are sequences of `fractions.Fraction`; all routines are
 deterministic (first usable pivot wins) so every downstream basis is
 reproducible.
+
+The matrices here are mostly zeros, so the kernels do no `Fraction`
+work on a zero: an entry is tested by its truth value, a row operation
+runs only over the columns where the pivot row is nonzero (listed once
+per pivot), a zero entry of a normalized pivot row is the shared `ZERO`,
+and a row is re-tested for zero only when a row operation changed it.
+Skipping a zero changes no value, so the rows, pivots and kernel bases
+are those of plain Gauss-Jordan elimination, and every entry of an
+`rref` row is a `Fraction`, also for integer input.
 """
 
 from __future__ import annotations
@@ -15,91 +24,100 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _take_pivot(work, col):
+    """Remove and return the first row of `work` nonzero in `col`, or None."""
+    for idx, r in enumerate(work):
+        if r[col]:
+            del work[idx]
+            return r
+    return None
+
+
+def _normalized(pivot_row, col):
+    """The pivot row scaled to a leading 1, and its (column, entry) support."""
+    inv = ONE / pivot_row[col]
+    row = [c * inv if c else ZERO for c in pivot_row]
+    return row, [(k, row[k]) for k in range(col, len(row)) if row[k]]
+
+
+def _eliminate(work, col, support):
+    """Clear column `col` of the rows of `work` in place by the normalized
+    pivot row with this support; return the rows that stay nonzero."""
+    rest = []
+    for r in work:
+        f = r[col]
+        if f:
+            for k, b in support:
+                r[k] -= f * b
+            if not any(r[col + 1:]):  # entries up to col are now zero
+                continue
+        rest.append(r)
+    return rest
+
+
 def rref(rows: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped and
     pivot columns are strictly increasing.
     """
-    work = [list(r) for r in rows if any(c != 0 for c in r)]
+    work = [r for r in map(list, rows) if any(r)]
     if not work:
         return [], []
     ncols = len(work[0])
     out: list[list[Fraction]] = []
     pivots: list[int] = []
     for col in range(ncols):
-        pivot_row = None
-        for r in work:
-            if r[col] != 0:
-                pivot_row = r
-                break
+        pivot_row = _take_pivot(work, col)
         if pivot_row is None:
             continue
-        work.remove(pivot_row)
-        inv = ONE / pivot_row[col]
-        pivot_row = [c * inv for c in pivot_row]
-        for prev, pcol in zip(out, pivots):
+        pivot_row, support = _normalized(pivot_row, col)
+        for prev in out:
             f = prev[col]
-            if f != 0:
-                for k in range(col, ncols):
-                    prev[k] -= f * pivot_row[k]
-        rest = []
-        for r in work:
-            f = r[col]
-            if f != 0:
-                r = [a - f * b for a, b in zip(r, pivot_row)]
-            if any(c != 0 for c in r):
-                rest.append(r)
-        work = rest
-        out.append(list(pivot_row))
+            if f:
+                for k, b in support:
+                    prev[k] -= f * b
+        work = _eliminate(work, col, support)
+        out.append(pivot_row)
         pivots.append(col)
+        if not work:
+            break
     return out, pivots
 
 
 def reduce_vector(vec, rows, pivots):
     """Subtract row multiples so every pivot coordinate of vec is zero."""
     v = list(vec)
+    n = len(v)
     for row, p in zip(rows, pivots):
         f = v[p]
-        if f != 0:
-            for k in range(p, len(v)):
-                v[k] -= f * row[k]
+        if f:
+            for k in range(p, n):
+                c = row[k]
+                if c:
+                    v[k] -= f * c
     return v
 
 
 def in_span(vec, rows, pivots) -> bool:
-    return all(c == 0 for c in reduce_vector(vec, rows, pivots))
+    return not any(reduce_vector(vec, rows, pivots))
 
 
 def rank(rows) -> int:
     """Row rank via forward elimination only (no back substitution)."""
-    work = [list(r) for r in rows if any(c != 0 for c in r)]
+    work = [r for r in map(list, rows) if any(r)]
     if not work:
         return 0
     ncols = len(work[0])
     count = 0
     for col in range(ncols):
-        pivot = None
-        for r in work:
-            if r[col] != 0:
-                pivot = r
-                break
+        pivot = _take_pivot(work, col)
         if pivot is None:
             continue
-        work.remove(pivot)
         count += 1
         if not work:
             break
-        inv = ONE / pivot[col]
-        rest = []
-        for r in work:
-            f = r[col]
-            if f != 0:
-                f *= inv
-                r = [a - f * b for a, b in zip(r, pivot)]
-            if any(c != 0 for c in r):
-                rest.append(r)
-        work = rest
+        work = _eliminate(work, col, _normalized(pivot, col)[1])
     return count
 
 
@@ -138,9 +156,10 @@ def intersect_rowspaces(rows_a, rows_b, ncols: int):
     for combo in combos:
         v = [ZERO] * ncols
         for coef, row in zip(combo[: len(a)], a):
-            if coef != 0:
-                for k in range(ncols):
-                    v[k] += coef * row[k]
+            if coef:
+                for k, c in enumerate(row):
+                    if c:
+                        v[k] += coef * c
         vectors.append(v)
     return rref(vectors)
 

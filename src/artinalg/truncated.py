@@ -21,6 +21,7 @@ of the lowest surviving term).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import islice, product as iter_product
@@ -188,11 +189,30 @@ class TruncatedHom(AlgebraMap):
     -1 for a hom built outside `search_homs`.
     """
 
-    __slots__ = ("gen_seq",)
+    __slots__ = ("gen_seq", "_orders")
 
     def __init__(self, source: ArtinAlgebra, target: TruncatedPolyAlgebra, images, verify: bool = True):
+        # set before AlgebraMap.__init__, which may verify and so evaluate
+        self._orders = None
         super().__init__(source, target, images, verify)
         self.gen_seq = -1
+
+    def evaluate_monomial(self, exps: Sequence[int]):
+        """The image of a monomial; zero without multiplying when the t-orders
+        of its factors sum past N.
+
+        The sum of the orders is the order of the product whenever it is
+        at most N (Q is a domain), and a zero image has order N+1.
+        """
+        n = self.truncation
+        orders = self._orders
+        if orders is None:
+            orders = self._orders = tuple(
+                next((k for k, c in enumerate(img.coords) if c), n + 1) for img in self.images
+            )
+        if sum(e * o for e, o in zip(exps, orders)) > n:
+            return self.target.zero()
+        return AlgebraMap.evaluate_monomial(self, exps)
 
     # perfbench/tracing.py times `apply` (its `truncated.apply` span) only
     # where `vars(TruncatedHom)` holds it, so it is bound here too.
@@ -268,7 +288,7 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     while True:
         best = None
         for pos, (vec, _) in enumerate(rows):
-            lead = next((i for i, c in enumerate(vec) if c != 0), None)
+            lead = next((i for i, c in enumerate(vec) if c), None)
             if lead is None:
                 continue
             if best is None or lead < best[0]:
@@ -280,7 +300,7 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
         pivot_lead_coeff = pivot_vec[lead]
         for row in rows:
             f = row[0][lead]
-            if f != 0:
+            if f:
                 factor = f / pivot_lead_coeff
                 row[0] = [a - factor * b for a, b in zip(row[0], pivot_vec)]
                 row[1] = row[1] - pivot_elt.scale(factor)
@@ -307,7 +327,7 @@ def _monomial_residual_order(gen: Polynomial, exponents, coefficients) -> int | 
                 deg += e * exp_profile
                 val *= coeff ** e
         s = acc.get(deg, ZERO) + val
-        if s == 0:
+        if not s:
             acc.pop(deg, None)
         else:
             acc[deg] = s
@@ -451,4 +471,22 @@ def search_homs(
         for hom in islice(stream, budgets.get(strat, 0)):
             if hom is not None and found.setdefault(hom.key(), hom) is hom:
                 hom.gen_seq = len(found) - 1
-    return sorted(found.values(), key=lambda h: h.key())
+    return _sorted_by_key(found.values())
+
+
+def _sorted_by_key(homs):
+    """The homs in the order of their `key()`, compared as integers.
+
+    Every coefficient times the common denominator of all of them is an
+    integer, and that scaling keeps their order.  Homs of one N have
+    images of one length, so the flat tuple (N, scaled coefficients...)
+    orders them as `key()` does.
+    """
+    homs = list(homs)
+    scale = math.lcm(*{c.denominator for h in homs for img in h.images for c in img.coords})
+    return sorted(
+        homs,
+        key=lambda h: (h.truncation, *(
+            c.numerator * (scale // c.denominator) for img in h.images for c in img.coords
+        )),
+    )

@@ -7,15 +7,18 @@ tests/test_acceptance.py` to see the lines as they complete.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import artinalg
 from artinalg import linalg
 from artinalg.algebra import (
     AlgebraElement,
@@ -409,6 +412,10 @@ def test_criterion_6_byte_identical_reports(tmp_path):
             ["tau", str(golden_file), "--witness", "X^2*Y^2", *search],
             ["socle-kill", str(diag_file), *search, "--include-homs"],
         ]
+        # the child imports the package this test imported
+        src = str(Path(artinalg.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
         for argv in commands:
             runs = []
             for _ in range(2):
@@ -416,6 +423,7 @@ def test_criterion_6_byte_identical_reports(tmp_path):
                     [sys.executable, "-m", "artinalg.cli", *argv, "--json"],
                     capture_output=True,
                     check=False,
+                    env=env,
                 )
                 assert proc.returncode == 0, proc.stderr.decode()
                 runs.append(proc.stdout)

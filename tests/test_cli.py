@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from artinalg import cli
 from artinalg.cli import main, parse_algebra_file
 from artinalg.errors import AlgebraFileError, ArtinalgError
 from artinalg.polycore import parse_polynomial
@@ -363,6 +364,30 @@ class TestTau:
 
     def test_missing_witness_is_input_error(self, capsys, golden_path):
         assert main(["tau", golden_path]) == 2
+
+    @pytest.mark.parametrize(
+        "path, flags, message",
+        [
+            ("staircase", ["--r", "0"], "r must be >= 1, got 0"),
+            ("staircase", [], "tau needs --witness <polynomial> or --r <int>"),
+            ("staircase", ["--witness", "X^^2"], "expected int, found '^' (token 2)"),
+            ("staircase", ["--witness", "Z"], "unknown variable 'Z'"),
+            ("chain", ["--r", "2"], "need two degree-one basis monomials for --r mode"),
+        ],
+        ids=["r-zero", "no-witness", "bad-polynomial", "unknown-variable", "one-variable"],
+    )
+    def test_bad_witness_is_rejected_before_the_search(
+        self, capsys, monkeypatch, staircase_path, chain_path, path, flags, message
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking the witness")
+
+        monkeypatch.setattr(cli, "search_homs", no_search)
+        file = staircase_path if path == "staircase" else chain_path
+        code = main(["tau", file, "--nmax", "24", "--budget", "5000", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
 
     def test_budget_exhaustion_exit_code(self, capsys, golden_path):
         code = main(

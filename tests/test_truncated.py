@@ -375,3 +375,61 @@ class TestMonomialProfiles:
     def test_lazy(self):
         first = list(islice(_monomial_profiles(3, 10**9), 5))
         assert first == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 3)]
+
+
+class TestOrderPruning:
+    """A monomial whose image orders sum past N is zero without multiplying;
+    the result is the one of the unpruned AlgebraMap evaluation."""
+
+    STAIRCASE = (("X", "Y"), ("X^3", "X^2*Y", "Y^2"))
+    UNIT_LINE = (("X",), ("X^2 - 2*X + 1",))
+    MIXED = (("X", "Y"), ("X^2 - 2*X + 1", "Y^3"))
+
+    @pytest.mark.parametrize(
+        "presentation, n, images",
+        [
+            (STAIRCASE, 6, ["t^2", "t^3"]),
+            (STAIRCASE, 6, ["t^2 + t^5", "0"]),
+            (STAIRCASE, 4, ["0", "0"]),
+            (STAIRCASE, 6, ["t", "t"]),
+            (STAIRCASE, 6, ["t", "0"]),
+            (UNIT_LINE, 1, ["1 + t"]),
+            (UNIT_LINE, 3, ["1 + t"]),
+            (UNIT_LINE, 0, ["1"]),
+            (MIXED, 4, ["1 - t^2", "2*t + t^3"]),
+            (MIXED, 5, ["1 + t^3", "-t^2"]),
+        ],
+        ids=[
+            "positive-orders",
+            "zero-image",
+            "all-zero",
+            "rejected-positive",
+            "rejected-zero-image",
+            "unit",
+            "rejected-unit",
+            "into-q",
+            "rejected-unit-and-positive",
+            "unit-and-positive",
+        ],
+    )
+    def test_equals_unpruned_evaluation(self, presentation, n, images):
+        A = algebra_from_strings(*presentation)
+        B = TruncatedPolyAlgebra(n)
+        targets = [B.from_string(s) for s in images]
+        hom = TruncatedHom(A, B, targets, verify=False)
+        plain = AlgebraMap(A, B, targets, verify=False)
+        for exps in product(range(7), repeat=len(A.variables)):
+            assert hom.evaluate_monomial(exps) == AlgebraMap.evaluate_monomial(hom, exps)
+        assert hom.violation() == plain.violation()
+        for i in range(A.dim):
+            assert hom.basis_image(i) == plain.basis_image(i)
+
+    def test_rejected_candidates_keep_their_residual(self):
+        A = algebra_from_strings(*self.UNIT_LINE)
+        B = TruncatedPolyAlgebra(3)
+        hom = TruncatedHom(A, B, [B.from_string("1 + t")], verify=False)
+        g, residual = hom.violation()
+        assert g == A.gens[0] and residual == B.t_power(2)
+        with pytest.raises(RelationViolatedError):
+            make_hom(A, 3, ["1 + t"])
+        assert make_hom(A, 1, ["1 + t"]).violation() is None
