@@ -6,7 +6,10 @@ The operations here assemble evidence objects:
   image keeps a graded component at least two-dimensional, reporting a
   search-certified lower bound next to the nilpotency-index upper bound.
   No exact algorithm for the maximum is known, so the report keeps both
-  numbers and every stored witness can re-verify its rank claim.
+  numbers.  The scan reads component ranks off the truncated valuations
+  of the basis monomials (integer work) and eliminates only where those
+  bounds leave the rank open; `reverify` recomputes every stored rank
+  claim by elimination, which shares no code with the valuation rule.
 * `surjection_to_q` rebuilds the staircase quotient Q(r) inside a given
   algebra from a witnessing hom and checks the expected isomorphism by
   explicit rank computations; a failed check is reported, not raised.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -88,7 +92,11 @@ class CriticalDegreeReport:
     homs_scanned: int
 
     def reverify(self, algebra: ArtinAlgebra) -> bool:
-        """Recompute every stored rank claim from scratch."""
+        """Recompute every stored rank claim from scratch, by elimination.
+
+        The scan took most ranks from valuations; this check ranks the
+        basis images with `linalg.rank` instead.
+        """
         for degree, witness in self.witnesses.items():
             if _image_rank(algebra, witness.hom, degree) != witness.rank:
                 return False
@@ -121,6 +129,35 @@ def _image_rank(algebra: ArtinAlgebra, hom: TruncatedHom, degree: int) -> int:
         list(hom.basis_image(i).coords) for i in _component_indices(algebra, degree)
     ]
     return linalg.rank(rows)
+
+
+def _degree_exponents(algebra: ArtinAlgebra, top: int):
+    """The exponent vectors of the basis monomials of each degree 1..top."""
+    rows = [[] for _ in range(top)]
+    for mono, degree in zip(algebra.basis, algebra.degrees):
+        if 1 <= degree <= top:
+            rows[degree - 1].append(mono.exps)
+    return rows
+
+
+def _is_single_term(hom: TruncatedHom) -> bool:
+    """Does every variable image have at most one nonzero coefficient?"""
+    return all(sum(1 for c in img.coords if c) <= 1 for img in hom.images)
+
+
+def _rank_bounds(rows, orders, truncation: int, single_term: bool):
+    """Bounds lo <= rank <= hi of the images of the monomials x^a in `rows`.
+
+    With `orders` from `TruncatedHom.image_orders`, the image of x^a is
+    zero or has t-order a·orders, its lead, when that is at most N.  Images
+    with distinct leads are independent, so lo is the number of distinct
+    leads; only nonzero images add rank, so hi is their number.  When every
+    variable image is a single term, so is every monomial image, and lo is
+    the rank.
+    """
+    leads = [v for v in (sum(map(mul, a, orders)) for a in rows) if v <= truncation]
+    lo = len(set(leads))
+    return lo, lo if single_term else len(leads)
 
 
 def degree_one_witness_hom(algebra: ArtinAlgebra) -> TruncatedHom:
@@ -158,6 +195,11 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     each degree whose component image stays at least two-dimensional,
     with the strongest witness found.  Degree one is always achieved
     through the canonical quadratic-kill hom.
+
+    Ranks come from valuations (`_rank_bounds`): a degree is skipped when
+    its bound hi cannot beat the current witness, takes lo when the bounds
+    agree, and is row-reduced only otherwise.  `reverify` rechecks every
+    stored rank by elimination.
     """
     info = grading_info(algebra)
     if not info.is_standard_graded:
@@ -168,14 +210,19 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     scan = [degree_one_witness_hom(algebra)]
     scan.extend(sorted(homs, key=lambda h: (h.gen_seq, h.key())))
 
+    exponents = _degree_exponents(algebra, n)
     witnesses: dict[int, DegreeWitness] = {}
     for hom in scan:
-        for degree in range(1, n + 1):
-            rank = _image_rank(algebra, hom, degree)
-            if rank >= 2:
-                current = witnesses.get(degree)
-                if current is None or rank > current.rank:
-                    witnesses[degree] = DegreeWitness(hom, rank)
+        orders, cap, single = hom.image_orders(), hom.truncation, _is_single_term(hom)
+        for degree, rows in enumerate(exponents, 1):
+            current = witnesses.get(degree)
+            best = 1 if current is None else current.rank
+            lo, hi = _rank_bounds(rows, orders, cap, single)
+            if hi <= best:
+                continue
+            rank = lo if lo == hi else _image_rank(algebra, hom, degree)
+            if rank > best:
+                witnesses[degree] = DegreeWitness(hom, rank)
 
     degrees = tuple(sorted(witnesses))
     return CriticalDegreeReport(

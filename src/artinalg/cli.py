@@ -178,11 +178,17 @@ def cmd_analyze(args) -> tuple[dict, int]:
     return _report("analyze", args, variables, gens, results), EXIT_OK
 
 
-def _search(algebra, args):
+def _split_images(args):
+    if not args.images:
+        return None
+    return [s.strip() for s in args.images.split(";") if s.strip()]
+
+
+def _search(algebra, args, images=None):
+    """search_homs with the command's flags; `images` defaults to --images."""
     strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
-    images = None
-    if args.images:
-        images = [s.strip() for s in args.images.split(";") if s.strip()]
+    if images is None:
+        images = _split_images(args)
     return search_homs(
         algebra,
         args.nmax,
@@ -195,10 +201,12 @@ def _search(algebra, args):
 
 def cmd_homs(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
+    images = _split_images(args)
     if args.images and "user" in args.strategy:
-        # surface verification failures for explicit images
-        make_hom(algebra, args.nmax, [s.strip() for s in args.images.split(";") if s.strip()])
-    homs = _search(algebra, args)
+        # surface a verification failure of explicit images as an input
+        # error; the user stream takes the verified hom as it is
+        images = [make_hom(algebra, args.nmax, images)]
+    homs = _search(algebra, args, images)
     elements = {name: algebra.variable_element(name) for name in algebra.variables}
     records = []
     for hom in homs:

@@ -197,20 +197,25 @@ class TruncatedHom(AlgebraMap):
         super().__init__(source, target, images, verify)
         self.gen_seq = -1
 
-    def evaluate_monomial(self, exps: Sequence[int]):
-        """The image of a monomial; zero without multiplying when the t-orders
-        of its factors sum past N.
+    def image_orders(self) -> tuple:
+        """The t-order of each variable image, N+1 for a zero image; computed once.
 
-        The sum of the orders is the order of the product whenever it is
-        at most N (Q is a domain), and a zero image has order N+1.
+        The image of x^a has t-order sum(a_i * orders[i]) whenever that sum
+        is at most N (Q is a domain), and is zero otherwise.
         """
-        n = self.truncation
         orders = self._orders
         if orders is None:
+            cap = self.truncation + 1
             orders = self._orders = tuple(
-                next((k for k, c in enumerate(img.coords) if c), n + 1) for img in self.images
+                next((k for k, c in enumerate(img.coords) if c), cap) for img in self.images
             )
-        if sum(e * o for e, o in zip(exps, orders)) > n:
+        return orders
+
+    def evaluate_monomial(self, exps: Sequence[int]):
+        """The image of a monomial; zero without multiplying when the t-orders
+        of its factors sum past N (see `image_orders`)."""
+        orders = self._orders or self.image_orders()
+        if sum(e * o for e, o in zip(exps, orders)) > self.truncation:
             return self.target.zero()
         return AlgebraMap.evaluate_monomial(self, exps)
 
@@ -406,11 +411,20 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images, found):
 
 
 def _user_stream(algebra, n_max, pool, seed, user_images, found):
-    """The supplied image sets, each verified at truncation n_max."""
+    """The supplied image sets, each verified at truncation n_max.
+
+    An entry that is already a `TruncatedHom` of the algebra at n_max is
+    taken as verified and yielded as it is.
+    """
     if not user_images:
         return
     single = isinstance(user_images[0], (str, Polynomial, AlgebraElement))
     for image_set in [user_images] if single else user_images:
+        if isinstance(image_set, TruncatedHom):
+            if image_set.source is not algebra or image_set.truncation != n_max:
+                raise IncompatibleAlgebrasError("user hom has another source or truncation")
+            yield image_set
+            continue
         try:
             hom = make_hom(algebra, n_max, image_set)
         except RelationViolatedError:
@@ -440,7 +454,8 @@ def search_homs(
     (coefficients from a fixed rational pool) and pairs each with the
     largest truncation it verifies at; "dense-random" rejection-samples
     seeded random images of positive order; "user" verifies explicitly
-    supplied images and keeps the valid ones.  The budget caps the
+    supplied images and keeps the valid ones (a supplied `TruncatedHom`
+    is taken as verified).  The budget caps the
     number of candidates examined per strategy, "user" included (an
     int, or a mapping from strategy name to int; a strategy missing from
     the mapping gets 0).  Candidates are streamed, so a strategy does no

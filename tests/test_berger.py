@@ -1,9 +1,19 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from artinalg.algebra import grading_info, socle
+from artinalg import berger, linalg
+from artinalg.algebra import AlgebraMap, grading_info, socle
 from artinalg.berger import (
+    CriticalDegreeReport,
+    DegreeWitness,
+    _image_rank,
+    _is_single_term,
+    _rank_bounds,
     critical_degree_search,
     degree_one_witness_hom,
     omega_witness,
@@ -21,8 +31,14 @@ from artinalg.errors import (
     WitnessInsufficientError,
 )
 from artinalg.kahler import d, kahler_module, pushforward
-from artinalg.truncated import TruncValue, make_hom, search_homs
-from conftest import algebra_from_strings
+from artinalg.truncated import (
+    TruncatedHom,
+    TruncatedPolyAlgebra,
+    TruncValue,
+    make_hom,
+    search_homs,
+)
+from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import random_element
 
 
@@ -282,3 +298,127 @@ class TestValuationBookkeeping:
                         if deg == i:
                             v = hom.valuation(A.basis_element(idx))
                             assert v.is_infinite or v.value >= floor
+
+
+# -- ranks from valuations ----------------------------------------------------
+
+FOURTH_POWER = (("X", "Y"), ("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4"))
+ORACLE_ALGEBRAS = {
+    **{f"q{r}": q_algebra(r) for r in range(1, 6)},
+    "m4": algebra_from_strings(*FOURTH_POWER),
+    "golden": algebra_from_strings(GOLDEN_VARS, GOLDEN_GENS),
+}
+# few values, so that images of different monomials can cancel
+SMALL_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+
+
+@st.composite
+def image_coeffs(draw, n):
+    """The t^k coefficients of one image: zero, a unit, one term or several."""
+    coeffs = [Fraction(0)] * (n + 1)
+    kind = draw(st.sampled_from(["zero", "unit", "single", "multi"]))
+    if kind == "zero":
+        return coeffs
+    lead = 0 if kind == "unit" else draw(st.integers(0 if kind == "single" else 1, n))
+    if kind == "multi":
+        lead = min(lead, n - 1)
+    coeffs[lead] = draw(SMALL_COEFFS)
+    if kind != "single":
+        for k in range(lead + 1, n + 1):
+            if draw(st.booleans()):
+                coeffs[k] = draw(SMALL_COEFFS)
+    if kind == "multi" and not any(coeffs[lead + 1:]):
+        coeffs[draw(st.integers(lead + 1, n))] = draw(SMALL_COEFFS)
+    return coeffs
+
+
+class TestRankFromValuations:
+    """The integer rule of the critical-degree scan against elimination."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_bounds_hold_the_eliminated_rank(self, data):
+        A = ORACLE_ALGEBRAS[data.draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))]
+        n = data.draw(st.integers(1, 12))
+        B = TruncatedPolyAlgebra(n)
+        images = [
+            B.from_coeffs(data.draw(image_coeffs(n))) for _ in A.variables
+        ]
+        hom = TruncatedHom(A, B, images, verify=False)
+        # the unpruned evaluation of a plain AlgebraMap, which reads no orders
+        plain = AlgebraMap(A, B, images, verify=False)
+        single = _is_single_term(hom)
+        for degree in sorted(set(A.degrees)):
+            indices = [i for i, d in enumerate(A.degrees) if d == degree]
+            rows = [A.basis[i].exps for i in indices]
+            lo, hi = _rank_bounds(rows, hom.image_orders(), n, single)
+            rank = linalg.rank([list(plain.basis_image(i).coords) for i in indices])
+            assert lo <= rank <= hi
+            if lo == hi:
+                assert rank == lo
+
+    def test_single_term_images(self):
+        A = ORACLE_ALGEBRAS["m4"]
+        B = TruncatedPolyAlgebra(6)
+        cases = [
+            (["t^2", "-t^3"], True),
+            (["0", "2*t"], True),
+            (["1", "0"], True),
+            (["t + t^2", "t^3"], False),
+            (["1 + t", "0"], False),
+        ]
+        for images, single in cases:
+            hom = TruncatedHom(A, B, [B.from_string(s) for s in images], verify=False)
+            assert _is_single_term(hom) is single
+
+
+def reference_scan(A, homs):
+    """The critical-degree scan with every (hom, degree) rank by elimination."""
+    n = grading_info(A).nilpotency_index
+    scan = [degree_one_witness_hom(A)]
+    scan.extend(sorted(homs, key=lambda h: (h.gen_seq, h.key())))
+    witnesses = {}
+    for hom in scan:
+        for degree in range(1, n + 1):
+            rank = _image_rank(A, hom, degree)
+            current = witnesses.get(degree)
+            if rank >= 2 and (current is None or rank > current.rank):
+                witnesses[degree] = DegreeWitness(hom, rank)
+    degrees = tuple(sorted(witnesses))
+    return CriticalDegreeReport(max(degrees), n, degrees, witnesses, len(scan))
+
+
+class TestScanEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["q1", "q2", "q3", "q4", "q5", "m4"])
+    def test_equals_the_elimination_scan(self, monkeypatch, name, seed):
+        A = ORACLE_ALGEBRAS[name]
+        homs = search_homs(
+            A, 12, strategy=("monomial", "dense-random"), budget=600, seed=seed
+        )
+        eliminations = []
+        monkeypatch.setattr(
+            berger, "_image_rank", lambda *args: eliminations.append(args) or _image_rank(*args)
+        )
+        report = critical_degree_search(A, homs)
+        monkeypatch.undo()
+        assert report.to_record() == reference_scan(A, homs).to_record()
+        # on <X,Y>^4 some dense homs share leads, so the scan eliminates there
+        assert bool(eliminations) == (name == "m4")
+        assert report.reverify(A)
+
+    # sha256 of the canonical JSON of to_record(), pinned from the
+    # elimination-only scan that preceded the valuation rule
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("q2", "a0e06f07c955d61283a2c6d908af0f20d1bcb6e3e2023f652e930a5421eadf02"),
+            ("q5", "a3f291856289faa5bc4dd8b9780151ba161e1a788b7c28da205380afea4530a0"),
+            ("m4", "90685bf1e96c01d4b9ceca1c24f193573e470cee4594dd4bf625fcce5209c1c5"),
+        ],
+    )
+    def test_record_bytes_are_pinned(self, name, digest):
+        A = ORACLE_ALGEBRAS[name]
+        record = critical_degree_search(A, both_strategies(A, 12, 2500)).to_record()
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

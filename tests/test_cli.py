@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artinalg import cli
+from artinalg import berger, cli, truncated
+from artinalg.algebra import AlgebraMap
 from artinalg.cli import main, parse_algebra_file
 from artinalg.errors import AlgebraFileError, ArtinalgError
 from artinalg.polycore import parse_polynomial
@@ -257,6 +258,32 @@ class TestHoms:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: relation violated: X^3 maps to nonzero <t^6>\n"
+
+    @pytest.mark.parametrize("strategy", ["user", "monomial,user"])
+    def test_user_images_are_verified_once(self, capsys, monkeypatch, staircase_path, strategy):
+        made, checked = [], []
+        make_hom, violation = truncated.make_hom, AlgebraMap.violation
+
+        def counting_make_hom(*args):
+            made.append(args)
+            return make_hom(*args)
+
+        def counting_violation(hom):
+            if hom.images[0].coords == (0, 0, 1, 0, 0, 0):
+                checked.append(hom)
+            return violation(hom)
+
+        monkeypatch.setattr(cli, "make_hom", counting_make_hom)
+        monkeypatch.setattr(truncated, "make_hom", counting_make_hom)
+        monkeypatch.setattr(AlgebraMap, "violation", counting_violation)
+        argv = ["homs", staircase_path, "--nmax", "5", "--budget", "3", "--strategy", strategy,
+                "--images", "t^2;t^3"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert len(made) == 1 and len(checked) == 1
+        kept = [h["images"] for h in report["results"]["homs"]]
+        assert [["0", "0", "1", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"]] in kept
 
 
 class TestBadSearchFlags:
@@ -273,6 +300,10 @@ class TestBadSearchFlags:
                 ["homs", "--nmax", "-1", "--strategy", "user", "--images", "t;t"],
                 "truncation must be >= 0, got -1",
             ),
+            (
+                ["homs", "--strategy", "user", "--images", ";"],
+                "one image per source variable required",
+            ),
         ],
         ids=[
             "unknown-strategy",
@@ -282,6 +313,7 @@ class TestBadSearchFlags:
             "r-negative",
             "r-zero",
             "nmax-negative-user-images",
+            "empty-user-images",
         ],
     )
     def test_input_error(self, capsys, staircase_path, argv, message):
@@ -330,6 +362,24 @@ class TestCritdeg:
         assert res["lower_bound"] == 2
         assert res["upper_bound"] == 2
         assert res["witnesses_reverified"] is True
+
+    def test_overstated_rank_fails_reverification(self, capsys, monkeypatch, staircase_path):
+        bounds = berger._rank_bounds
+        calls = []
+
+        def overstate_first(rows, orders, truncation, single_term):
+            # the first call ranks degree one under the quadratic-kill hom
+            lo, hi = bounds(rows, orders, truncation, single_term)
+            calls.append(rows)
+            return (lo + 1, hi + 1) if len(calls) == 1 else (lo, hi)
+
+        monkeypatch.setattr(berger, "_rank_bounds", overstate_first)
+        code, report = run_json(
+            capsys, ["critdeg", staircase_path, "--nmax", "6", "--budget", "50"]
+        )
+        assert code == 3
+        assert report["results"]["witnesses_reverified"] is False
+        assert report["results"]["witnesses"]["1"]["rank"] == 3
 
     def test_principal_is_input_error(self, capsys, chain_path):
         assert main(["critdeg", chain_path, "--nmax", "6"]) == 2

@@ -298,6 +298,14 @@ class TestSearch:
         )
         assert len(homs) >= 2  # the valid ones survive, invalid are dropped
 
+    def test_user_strategy_takes_a_built_hom(self, q2, q3):
+        hom = make_hom(q2, 5, ["t^2", "t^3"])
+        assert search_homs(q2, 5, strategy="user", images=[hom]) == [hom]
+        assert hom.gen_seq == 0
+        for algebra, n_max in ((q2, 6), (q3, 5)):
+            with pytest.raises(IncompatibleAlgebrasError):
+                search_homs(algebra, n_max, strategy="user", images=[hom])
+
     def test_not_local_rejected(self, split_quadratic):
         with pytest.raises(NotLocalOverQError):
             search_homs(split_quadratic, 4)
