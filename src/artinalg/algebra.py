@@ -108,50 +108,83 @@ def _coords_of(vector):
     return tuple(Fraction(c) for c in vector)
 
 
-class AlgebraElement:
-    """An element of an ArtinAlgebra in standard-monomial coordinates."""
+class CoordinateVector:
+    """A vector of a finite-dimensional space over Q, by its coordinates.
 
-    __slots__ = ("algebra", "coords")
+    The one vector arithmetic of `AlgebraElement` (the space is an
+    algebra) and `kahler.DifferentialForm` (the space is a Kaehler
+    module): sums, differences, negatives and rational multiples of
+    vectors of one space, equality and hashing.  A subclass names the
+    space under its own attribute.  The arithmetic does no Fraction work
+    on a zero coordinate.
+    """
 
-    def __init__(self, algebra: "ArtinAlgebra", coords):
+    __slots__ = ("space", "coords")
+
+    #: the error a coordinate vector of the wrong length raises
+    _length_error = VariableMismatchError
+
+    def __init__(self, space, coords):
         coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != algebra.dim:
-            raise VariableMismatchError("coordinate vector has wrong length")
-        self.algebra = algebra
+        if len(coords) != space.dim:
+            raise self._length_error("coordinate vector has wrong length")
+        self.space = space
         self.coords = coords
 
     @classmethod
-    def _raw(cls, algebra: "ArtinAlgebra", coords: tuple) -> "AlgebraElement":
+    def _raw(cls, space, coords: tuple):
         """Internal constructor; coords must already be a Fraction tuple of length dim."""
         self = object.__new__(cls)
-        self.algebra = algebra
+        self.space = space
         self.coords = coords
         return self
 
-    def _check(self, other: "AlgebraElement"):
-        if self.algebra is not other.algebra:
-            raise IncompatibleAlgebrasError("elements of different algebras")
-
-    # The arithmetic below does no Fraction work on a zero coordinate.
+    def _check(self, other: "CoordinateVector"):
+        if self.space is not other.space:
+            raise IncompatibleAlgebrasError(
+                f"{type(self).__name__} and {type(other).__name__} of different spaces"
+            )
 
     def __add__(self, other):
         self._check(other)
-        return AlgebraElement._raw(
-            self.algebra, tuple(a + b if b else a for a, b in zip(self.coords, other.coords))
+        return self._raw(
+            self.space, tuple(a + b if b else a for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other):
         self._check(other)
-        return AlgebraElement._raw(
-            self.algebra, tuple(a - b if b else a for a, b in zip(self.coords, other.coords))
+        return self._raw(
+            self.space, tuple(a - b if b else a for a, b in zip(self.coords, other.coords))
         )
 
     def __neg__(self):
-        return AlgebraElement._raw(self.algebra, tuple(-a for a in self.coords))
+        return self._raw(self.space, tuple(-a for a in self.coords))
 
     def scale(self, value):
         c = Fraction(value)
-        return AlgebraElement._raw(self.algebra, tuple(c * a if a else ZERO for a in self.coords))
+        return self._raw(self.space, tuple(c * a if a else ZERO for a in self.coords))
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CoordinateVector)
+            and self.space is other.space
+            and self.coords == other.coords
+        )
+
+    def __hash__(self):
+        return hash((id(self.space), self.coords))
+
+
+class AlgebraElement(CoordinateVector):
+    """An element of an ArtinAlgebra in standard-monomial coordinates."""
+
+    __slots__ = ()
+
+    #: the `space` slot, under its name for elements
+    algebra = CoordinateVector.space
 
     def __mul__(self, other):
         self._check(other)
@@ -172,19 +205,6 @@ class AlgebraElement:
             if exponent:
                 base = base * base
         return result
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.coords))
 
     def to_polynomial(self) -> Polynomial:
         terms = {

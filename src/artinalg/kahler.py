@@ -10,7 +10,12 @@ Those generators span I*Omega + dI expressed in coordinates, which is why
 the quotient does not depend on the chosen generating set of I; the test
 suite checks that dimension agreement empirically.  Reduction against the
 RREF of the relation span gives canonical representatives, and a form is
-stored by its coordinates on the non-pivot slots.
+stored by its coordinates on the non-pivot slots: a `DifferentialForm` is
+an `algebra.CoordinateVector`, with the same arithmetic as an element.
+
+Standard monomials are closed under division, so the partial derivatives
+of an element's polynomial lie on the basis already: `d` reads them off
+without a normal form, and only the relations are normal-formed.
 
 A truncated ring Q[t]/<t^(N+1)> is an ArtinAlgebra like any other, so
 its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
@@ -29,11 +34,13 @@ from .algebra import (
     AlgebraElement,
     AlgebraMap,
     ArtinAlgebra,
+    CoordinateVector,
     Subspace,
     is_local_over_q,
     nilradical,
 )
 from .errors import IncompatibleAlgebrasError, NotLocalOverQError
+from .groebner import normal_form
 from .polycore import Polynomial
 from .truncated import TruncatedPolyAlgebra
 
@@ -41,49 +48,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class DifferentialForm:
+class DifferentialForm(CoordinateVector):
     """A form in quotient coordinates of a KahlerModule."""
 
-    __slots__ = ("module", "coords")
+    __slots__ = ()
 
-    def __init__(self, module: "KahlerModule", coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != module.dim:
-            raise IncompatibleAlgebrasError("coordinate vector has wrong length")
-        self.module = module
-        self.coords = coords
-
-    def _check(self, other: "DifferentialForm"):
-        if self.module is not other.module:
-            raise IncompatibleAlgebrasError("forms over different modules")
-
-    def __add__(self, other):
-        self._check(other)
-        return DifferentialForm(self.module, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return DifferentialForm(self.module, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return DifferentialForm(self.module, [-a for a in self.coords])
-
-    def scale(self, value):
-        c = Fraction(value)
-        return DifferentialForm(self.module, [c * a for a in self.coords])
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DifferentialForm)
-            and self.module is other.module
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.module), self.coords))
+    _length_error = IncompatibleAlgebrasError
+    #: the `space` slot, under its name for forms
+    module = CoordinateVector.space
 
     def __repr__(self):
         return f"<DifferentialForm {self.describe()}>"
@@ -114,7 +86,7 @@ class KahlerModule:
         for g in algebra.gb.polys:
             partials = [
                 algebra.coords_of_polynomial(
-                    _nf(algebra, g.partial_derivative(name))
+                    normal_form(g.partial_derivative(name), algebra.gb)
                 )
                 for name in algebra.variables
             ]
@@ -139,8 +111,9 @@ class KahlerModule:
         return linalg.reduce_vector(vector, self.rel_rows, self.rel_pivots)
 
     def form_from_ambient(self, vector) -> DifferentialForm:
+        """The class of an ambient vector of Fractions."""
         reduced = self.reduce_ambient(vector)
-        return DifferentialForm(self, [reduced[i] for i in self.quot_indices])
+        return DifferentialForm._raw(self, tuple(reduced[i] for i in self.quot_indices))
 
     def ambient_representative(self, form: DifferentialForm):
         vec = [ZERO] * self.ambient_dim
@@ -149,23 +122,25 @@ class KahlerModule:
         return vec
 
     def zero_form(self) -> DifferentialForm:
-        return DifferentialForm(self, [ZERO] * self.dim)
+        return DifferentialForm._raw(self, (ZERO,) * self.dim)
 
     # -- the universal derivation ----------------------------------------------
 
     def d_polynomial(self, p: Polynomial) -> DifferentialForm:
         """d of any polynomial representative; the result only depends on
         the class of p in the algebra."""
-        A = self.algebra
-        vec = []
-        for name in A.variables:
-            vec.extend(A.coords_of_polynomial(_nf(A, p.partial_derivative(name))))
-        return self.form_from_ambient(vec)
+        return self.d(self.algebra.from_polynomial(p))
 
     def d(self, element: AlgebraElement) -> DifferentialForm:
+        """sum_j (da/dX_j) dX_j, with no normal form (see the module docstring)."""
         if element.algebra is not self.algebra:
             raise IncompatibleAlgebrasError("element of a different algebra")
-        return self.d_polynomial(element.to_polynomial())
+        A = self.algebra
+        p = element.to_polynomial()
+        vec = []
+        for name in A.variables:
+            vec.extend(A.coords_of_polynomial(p.partial_derivative(name)))
+        return self.form_from_ambient(vec)
 
     def act(self, element: AlgebraElement, form: DifferentialForm) -> DifferentialForm:
         """Module action a * omega, computed through the mult table."""
@@ -184,12 +159,6 @@ class KahlerModule:
 
     def __repr__(self):
         return f"<KahlerModule dim {self.dim} over algebra dim {self.algebra.dim}>"
-
-
-def _nf(algebra: ArtinAlgebra, p: Polynomial):
-    from .groebner import normal_form
-
-    return normal_form(p, algebra.gb)
 
 
 def kahler_module(algebra: ArtinAlgebra) -> KahlerModule:
@@ -234,7 +203,7 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
                     for b in range(min(len(deriv), n - a)):
                         if deriv[b]:
                             out[a + b] += c * ua * deriv[b]
-        return DifferentialForm(target_module, out)
+        return DifferentialForm._raw(target_module, tuple(out))
     total = target_module.zero_form()
     for j, img in enumerate(hom.images):
         coefficient = hom.apply(AlgebraElement(source, ambient[j * dim : (j + 1) * dim]))

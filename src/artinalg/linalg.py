@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Row-echelon machinery shared by the Groebner, algebra and differentials
-layers.  Vectors are sequences of `fractions.Fraction`; all routines are
-deterministic (first usable pivot wins) so every downstream basis is
-reproducible.
+Row-echelon machinery shared by the Groebner, algebra, differentials and
+truncated layers.  Vectors are sequences of `fractions.Fraction`; all
+routines are deterministic (first usable pivot wins) so every downstream
+basis is reproducible.  `rref` is Gauss-Jordan elimination; `echelon` is
+the one forward elimination, which `rank` counts and
+`truncated.triangularize` runs on image columns.
 
 The matrices here are mostly zeros, so the kernels do no `Fraction`
 work on a zero: an entry is tested by its truth value, a row operation
@@ -103,22 +105,35 @@ def in_span(vec, rows, pivots) -> bool:
     return not any(reduce_vector(vec, rows, pivots))
 
 
-def rank(rows) -> int:
-    """Row rank via forward elimination only (no back substitution)."""
+def echelon(rows, ncols=None):
+    """Forward elimination (no back substitution) over the first `ncols`
+    columns, all of them by default.
+
+    Returns (pivot_rows, rest).  The pivot rows are listed in the order
+    taken, one per pivot column in increasing order, each as it stood when
+    taken (not normalized); at each column the first remaining row that
+    is nonzero there is taken.  `rest` holds the other rows that are still
+    nonzero, in input order; they are zero on the first `ncols` columns.
+    Zero rows are dropped; the input rows are not modified.
+    """
     work = [r for r in map(list, rows) if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    count = 0
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivot_rows = []
     for col in range(ncols):
         pivot = _take_pivot(work, col)
         if pivot is None:
             continue
-        count += 1
+        pivot_rows.append(pivot)
         if not work:
             break
         work = _eliminate(work, col, _normalized(pivot, col)[1])
-    return count
+    return pivot_rows, work
+
+
+def rank(rows) -> int:
+    """Row rank: the number of pivots of `echelon`."""
+    return len(echelon(rows)[0])
 
 
 def kernel_basis(rows, ncols: int):

@@ -25,6 +25,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import islice, product as iter_product
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -253,6 +254,7 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
 
     `images` entries may be elements of the target ring, coefficient
     sequences, polynomials in t, or strings like "t^2".  Raises
+    InvalidArgumentError naming an entry that is none of these, and
     RelationViolatedError naming the first violated generator.
     """
     target = TruncatedPolyAlgebra(truncation)
@@ -265,8 +267,19 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
         elif isinstance(img, str):
             normalized.append(target.from_string(img))
         else:
-            normalized.append(target.from_coeffs(img))
+            try:
+                normalized.append(target.from_coeffs(img))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise InvalidArgumentError(f"cannot read the image {img!r}") from None
     return TruncatedHom(algebra, target, normalized)
+
+
+def _is_image(value) -> bool:
+    """Whether a user image entry is one image, not a set of images:
+    an element, a polynomial, a string or a sequence of rationals."""
+    return isinstance(value, (str, Polynomial, AlgebraElement)) or (
+        isinstance(value, Sequence) and all(isinstance(c, Rational) for c in value)
+    )
 
 
 def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
@@ -274,9 +287,10 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
 
     The output spans the same subspace; the first d members have strictly
     increasing finite valuations and the remaining ones map to zero,
-    where d = n - dim(ker(hom) ∩ span).  Realized by row-reducing the
-    image coefficient matrix while tracking the same operations on the
-    source elements.
+    where d = n - dim(ker(hom) ∩ span).  Realized by `linalg.echelon` on
+    the image coefficients, which takes at each t-order the first
+    remaining member whose image has that order; the pivot members are
+    returned as taken, then the rest in input order.
     """
     elements = list(elements)
     if not elements:
@@ -285,33 +299,16 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     for e in elements:
         if e.algebra is not algebra:
             raise IncompatibleAlgebrasError("elements of different algebras")
-    if linalg.rank([list(e.coords) for e in elements]) != len(elements):
+    if linalg.rank([e.coords for e in elements]) != len(elements):
         raise DependentInputError("input elements are linearly dependent")
 
-    rows = [[list(hom.apply(e).coords), e] for e in elements]
-    finished = []
-    while True:
-        best = None
-        for pos, (vec, _) in enumerate(rows):
-            lead = next((i for i, c in enumerate(vec) if c), None)
-            if lead is None:
-                continue
-            if best is None or lead < best[0]:
-                best = (lead, pos)
-        if best is None:
-            break
-        lead, pos = best
-        pivot_vec, pivot_elt = rows.pop(pos)
-        pivot_lead_coeff = pivot_vec[lead]
-        for row in rows:
-            f = row[0][lead]
-            if f:
-                factor = f / pivot_lead_coeff
-                row[0] = [a - factor * b for a, b in zip(row[0], pivot_vec)]
-                row[1] = row[1] - pivot_elt.scale(factor)
-        finished.append(pivot_elt)
-    finished.extend(elt for _, elt in rows)
-    return finished
+    # rows [image | source]; elimination on the image columns carries the
+    # same operations to the source coordinates
+    width = hom.truncation + 1
+    pivot_rows, rest = linalg.echelon(
+        [hom.apply(e).coords + e.coords for e in elements], width
+    )
+    return [AlgebraElement._raw(algebra, tuple(row[width:])) for row in pivot_rows + rest]
 
 
 # -- hom search ---------------------------------------------------------------
@@ -363,12 +360,8 @@ def _monomial_profiles(nvars: int, n_max: int):
         yield from _profiles_of_degree(total, nvars, n_max)
 
 
-def _monomial_stream(algebra, n_max, pool, seed, user_images, found):
-    """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target.
-
-    A candidate whose key is already in `found` is rejected before its hom
-    is built.
-    """
+def _monomial_stream(algebra, n_max, pool, seed, user_images):
+    """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target."""
     nvars = len(algebra.variables)
     for profile in _monomial_profiles(nvars, n_max):
         for coeffs in iter_product(pool, repeat=nvars):
@@ -384,13 +377,10 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images, found):
             images = tuple(
                 target.t_power(e, c) for e, c in zip(profile, coeffs)
             )
-            key = (n, tuple(img.coords for img in images))
-            yield None if key in found else TruncatedHom(
-                algebra, target, images, verify=False
-            )
+            yield TruncatedHom(algebra, target, images, verify=False)
 
 
-def _dense_random_stream(algebra, n_max, pool, seed, user_images, found):
+def _dense_random_stream(algebra, n_max, pool, seed, user_images):
     """Random polynomial images of positive order, exactly verified."""
     rng = random.Random(f"{seed}:dense-random:{n_max}")
     nvars = len(algebra.variables)
@@ -410,7 +400,7 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images, found):
         yield probe if probe.violation() is None else None
 
 
-def _user_stream(algebra, n_max, pool, seed, user_images, found):
+def _user_stream(algebra, n_max, pool, seed, user_images):
     """The supplied image sets, each verified at truncation n_max.
 
     An entry that is already a `TruncatedHom` of the algebra at n_max is
@@ -418,8 +408,7 @@ def _user_stream(algebra, n_max, pool, seed, user_images, found):
     """
     if not user_images:
         return
-    single = isinstance(user_images[0], (str, Polynomial, AlgebraElement))
-    for image_set in [user_images] if single else user_images:
+    for image_set in [user_images] if _is_image(user_images[0]) else user_images:
         if isinstance(image_set, TruncatedHom):
             if image_set.source is not algebra or image_set.truncation != n_max:
                 raise IncompatibleAlgebrasError("user hom has another source or truncation")
@@ -454,8 +443,10 @@ def search_homs(
     (coefficients from a fixed rational pool) and pairs each with the
     largest truncation it verifies at; "dense-random" rejection-samples
     seeded random images of positive order; "user" verifies explicitly
-    supplied images and keeps the valid ones (a supplied `TruncatedHom`
-    is taken as verified).  The budget caps the
+    supplied images and keeps the valid ones: `images` is one image set
+    (the images of `make_hom`; a sequence of rationals is one image) or
+    a list of image sets, and a supplied `TruncatedHom` is taken as
+    verified.  The budget caps the
     number of candidates examined per strategy, "user" included (an
     int, or a mapping from strategy name to int; a strategy missing from
     the mapping gets 0).  Candidates are streamed, so a strategy does no
@@ -482,7 +473,7 @@ def search_homs(
     pool = tuple(coefficient_pool) if coefficient_pool is not None else DEFAULT_COEFF_POOL
     found: dict = {}
     for strat in strategies:
-        stream = _STRATEGIES[strat](algebra, n_max, pool, seed, images, found)
+        stream = _STRATEGIES[strat](algebra, n_max, pool, seed, images)
         for hom in islice(stream, budgets.get(strat, 0)):
             if hom is not None and found.setdefault(hom.key(), hom) is hom:
                 hom.gen_seq = len(found) - 1

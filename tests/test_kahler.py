@@ -1,11 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from artinalg import linalg
+from artinalg import groebner, linalg
 from artinalg.algebra import AlgebraMap, nilradical, quotient_algebra
-from artinalg.errors import NotLocalOverQError
+from artinalg.errors import IncompatibleAlgebrasError, NotLocalOverQError
 from artinalg.kahler import (
     DifferentialForm,
     KahlerModule,
@@ -124,6 +125,44 @@ class TestUniversalDerivation:
             other = a.to_polynomial() + noise
             assert km.d_polynomial(other) == canonical
 
+    def test_d_equals_the_normal_form_of_each_partial(self, golden, q2, m4):
+        for A in (golden, q2, m4, TruncatedPolyAlgebra(6)):
+            km = kahler_module(A)
+            rng = random.Random(23)
+            for _ in range(30):
+                a = random_element(rng, A)
+                vec = []
+                for name in A.variables:
+                    partial = a.to_polynomial().partial_derivative(name)
+                    vec.extend(A.coords_of_polynomial(groebner.normal_form(partial, A.gb)))
+                assert km.d(a) == km.form_from_ambient(vec)
+
+    def test_normal_forms_per_call(self, golden, monkeypatch):
+        km = kahler_module(golden)
+        a = golden.from_string("3*X^2*Y^2 - X^4 + Y")
+        p = parse_polynomial("X^5 + X^2*Y + X*Y^3", golden.variables)
+        calls = _count_normal_forms(monkeypatch)
+        da = km.d(a)
+        assert len(calls) == 0
+        dp = km.d_polynomial(p)
+        assert len(calls) == 1
+        assert not da.is_zero() and dp == km.d(golden.from_polynomial(p))
+
+
+def _count_normal_forms(monkeypatch):
+    """Count groebner.normal_form calls through every module's binding."""
+    calls = []
+    original = groebner.normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artinalg") and getattr(module, "normal_form", None) is original:
+            monkeypatch.setattr(module, "normal_form", counted)
+    return calls
+
 
 class TestPushforward:
     def test_identity_map_is_identity(self, q2):
@@ -240,3 +279,35 @@ class TestFormPredicates:
         forms = kahler_module(TruncatedPolyAlgebra(3))
         assert DifferentialForm(forms, [0, 0, 0]).is_zero()
         assert not DifferentialForm(forms, [0, 1, 0]).is_zero()
+
+
+class TestOperandsOfDifferentSpaces:
+    def test_element_and_form(self, q2):
+        km = kahler_module(q2)
+        x = q2.variable_element("X")
+        dx = km.d(x)
+        for mixed in (lambda: x + dx, lambda: dx + x, lambda: x * dx, lambda: dx - x):
+            with pytest.raises(IncompatibleAlgebrasError):
+                mixed()
+        assert x != dx and dx != x
+
+    def test_elements_of_two_algebras(self, q2, q3):
+        x, other = q2.variable_element("X"), q3.variable_element("X")
+        for mixed in (lambda: x + other, lambda: x - other, lambda: x * other):
+            with pytest.raises(IncompatibleAlgebrasError):
+                mixed()
+        assert x != other
+
+    def test_forms_of_two_modules(self, q2, q3):
+        dx = d(q2.variable_element("X"))
+        with pytest.raises(IncompatibleAlgebrasError):
+            dx + d(q3.variable_element("X"))
+
+    def test_forms_share_the_element_arithmetic(self, q2):
+        inherited = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__", "__hash__", "_check"}
+        assert not inherited & set(vars(DifferentialForm))
+        km = kahler_module(q2)
+        form = km.d(q2.from_string("X^2 + 2*Y"))
+        assert form.module is km and q2.one().algebra is q2
+        assert (form - form).is_zero() and form.scale(3) == form + form + form
+        assert -form == form.scale(-1) and hash(form.scale(2)) == hash(form + form)

@@ -62,6 +62,37 @@ def test_against_sympy(rows):
     assert rows == before  # the input rows are not modified
 
 
+def sympy_rank(rows):
+    return to_sympy(rows).rank() if rows and rows[0] else 0
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(rows=matrices(), data=st.data())
+def test_echelon_against_sympy(rows, data):
+    width = len(rows[0])
+    ncols = data.draw(st.integers(0, width))
+    before = [list(r) for r in rows]
+    pivot_rows, rest = linalg.echelon(rows, ncols)
+    assert len(pivot_rows) == sympy_rank([r[:ncols] for r in rows])
+    leads = [next(k for k, c in enumerate(r) if c) for r in pivot_rows]
+    assert leads == sorted(set(leads)) and all(k < ncols for k in leads)
+    assert all(any(r) and not any(r[:ncols]) for r in rest)
+    assert sympy_rank(pivot_rows + rest) == sympy_rank(rows)
+    assert len(linalg.echelon(rows)[0]) == sympy_rank(rows)
+    assert linalg.echelon(rows)[1] == []
+    assert rows == before
+
+
+def test_echelon_keeps_pivots_as_taken():
+    # column 0 takes the last row; column 1 the first row, unscaled, and
+    # clears it from the second, which is left over on column 2
+    rows = [[0, 2, 1], [0, 1, 5], [1, 0, 0]]
+    assert linalg.echelon(rows, 2) == ([[1, 0, 0], [0, 2, 1]], [[0, 0, Fraction(9, 2)]])
+    assert linalg.echelon(rows) == ([[1, 0, 0], [0, 2, 1], [0, 0, Fraction(9, 2)]], [])
+    assert linalg.echelon([]) == ([], [])
+    assert linalg.echelon([[0, 0], [0, 3]], 1) == ([], [[0, 3]])
+
+
 def test_edge_shapes():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0

@@ -19,6 +19,7 @@ from artinalg.errors import (
     NotLocalOverQError,
     RelationViolatedError,
 )
+from artinalg.berger import q_algebra
 from artinalg.kahler import kahler_module
 from artinalg.truncated import (
     DEFAULT_COEFF_POOL,
@@ -136,6 +137,11 @@ class TestMakeHom:
         hom = make_hom(q2, 5, [[0, 0, 1], [0, 0, 0, 2]])
         assert kills_every_generator(hom)
 
+    @pytest.mark.parametrize("bad", [None, ["a"], [1, None], ["1/0"], 3])
+    def test_unreadable_image_is_an_invalid_argument(self, q2, bad):
+        with pytest.raises(InvalidArgumentError, match="image"):
+            make_hom(q2, 3, [bad, "t"])
+
 
 class TestValuation:
     def test_of_zero_is_infinite(self, q2):
@@ -246,6 +252,68 @@ class TestTriangularize:
                 )[0]
 
 
+def reference_triangularize(hom, elements):
+    """The elimination loop `triangularize` ran before it called
+    `linalg.echelon`: repeatedly take the first member of least image
+    t-order, unscaled, and clear that order from the others."""
+    rows = [[list(hom.apply(e).coords), e] for e in elements]
+    finished = []
+    while True:
+        best = None
+        for pos, (vec, _) in enumerate(rows):
+            lead = next((i for i, c in enumerate(vec) if c), None)
+            if lead is not None and (best is None or lead < best[0]):
+                best = (lead, pos)
+        if best is None:
+            break
+        lead, pos = best
+        pivot_vec, pivot_elt = rows.pop(pos)
+        for row in rows:
+            f = row[0][lead]
+            if f:
+                factor = f / pivot_vec[lead]
+                row[0] = [a - factor * b for a, b in zip(row[0], pivot_vec)]
+                row[1] = row[1] - pivot_elt.scale(factor)
+        finished.append(pivot_elt)
+    finished.extend(elt for _, elt in rows)
+    return finished
+
+
+GOLDEN = (("Y", "X"), ("X^3*Y", "X^5", "X*Y^3 + 2*X^3", "3*X^2*Y^2 + 5*Y^4"))
+FOURTH_POWER = (("X", "Y"), ("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4"))
+
+
+class TestTriangularizeOutput:
+    """triangularize's exact output, pivot order and unscaled pivots
+    included: surjection_to_q takes its x and y from it."""
+
+    @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5", "golden", "fourth-power"])
+    def test_equals_the_reference_loop(self, name):
+        if name.startswith("Q"):
+            A = q_algebra(int(name[1:]))
+        else:
+            A = algebra_from_strings(*(GOLDEN if name == "golden" else FOURTH_POWER))
+        rng = random.Random(f"triangularize:{name}")
+        homs = search_homs(A, 12, strategy=("monomial", "dense-random"), budget=150, seed=1)
+        degree_one = [A.basis_element(i) for i, deg in enumerate(A.degrees) if deg == 1]
+        compared = 0
+        for hom in rng.sample(homs, 25):
+            mixed = [
+                sum((e.scale(rng.choice((0, 1, -2, Fraction(1, 3)))) for e in degree_one), A.zero())
+                for _ in degree_one
+            ]
+            families = [degree_one, degree_one[::-1], mixed]
+            families.append([random_element(rng, A) for _ in range(rng.randint(1, 4))])
+            for family in families:
+                if linalg.rank([e.coords for e in family]) != len(family):
+                    continue
+                out = triangularize(hom, family)
+                assert [e.coords for e in out] == [e.coords for e in reference_triangularize(hom, family)]
+                assert all(e.algebra is A for e in out)
+                compared += 1
+        assert compared >= 50
+
+
 class TestSearch:
     def test_dual_numbers_monomial_family(self, dual_numbers):
         homs = search_homs(dual_numbers, 3, strategy="monomial", budget=200)
@@ -297,6 +365,19 @@ class TestSearch:
             images=[["t^2", "t^3"], ["t^3", "t^3"], ["t^5", "t^5"]],
         )
         assert len(homs) >= 2  # the valid ones survive, invalid are dropped
+
+    def test_user_strategy_reads_coefficient_lists_as_one_image_set(self, q2):
+        images = [[0, 0, 1], [0, 0, 0, Fraction(1, 2)]]
+        homs = search_homs(q2, 5, strategy="user", images=images)
+        assert [h.key() for h in homs] == [make_hom(q2, 5, images).key()]
+        assert [h.key() for h in search_homs(q2, 5, strategy="user", images=[images])] == [
+            h.key() for h in homs
+        ]
+        assert search_homs(q_algebra(2), 6, strategy="user", images=[[0, 0, 1], [0, 0, 0, 1]]) == []
+
+    def test_user_strategy_rejects_an_unreadable_image(self, q2):
+        with pytest.raises(InvalidArgumentError, match="image"):
+            search_homs(q2, 5, strategy="user", images=[[None, "t"]])
 
     def test_user_strategy_takes_a_built_hom(self, q2, q3):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
