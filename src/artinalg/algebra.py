@@ -1,13 +1,12 @@
 """Finite-dimensional quotient algebras as concrete linear algebra.
 
 An `ArtinAlgebra` is Q[X1..Xm]/I presented by a reduced Groebner basis:
-its vector-space basis is the standard monomials and multiplication is a
-table of normal-form coordinates, built with every algebra from
-`build_algebra`.  Everything downstream (socle, nilradical, gradings,
-differentials, homomorphism searches) is exact linear algebra over that
-multiplication.  A subclass may multiply coordinates its own way: the
-truncated rings Q[t]/<t^(N+1)> (`truncated.TruncatedPolyAlgebra`) convolve
-and derive the table only if a structural function reads it.
+its vector-space basis is the standard monomials and multiplication is
+the sparse structure constants `products` (the nonzero (k, c) of each
+basis[i]*basis[j]), built with every algebra from `build_algebra`; every
+product reads them, and `mult_table` is their dense view.  Only the
+truncated rings Q[t]/<t^(N+1)> (`truncated.TruncatedPolyAlgebra`) multiply
+their own way, by convolution, and derive `products` only if read.
 
 `AlgebraMap` is the one homomorphism type, with the only verification,
 evaluation and composition code.  Its target is an ArtinAlgebra: a
@@ -25,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from . import linalg
 from .errors import (
     IncompatibleAlgebrasError,
+    InvalidArgumentError,
     NotGradedError,
     NotLocalOverQError,
     NotZeroDimensionalError,
@@ -68,13 +69,22 @@ class Subspace:
         return not self.rows
 
     def contains(self, vector) -> bool:
-        coords = _coords_of(vector)
-        if len(coords) != self.ambient_dim:
-            raise VariableMismatchError("vector has wrong length for subspace")
-        return linalg.in_span(coords, self.rows, self.pivots)
+        return linalg.in_span(self._coords_of(vector), self.rows, self.pivots)
 
     def reduce(self, vector):
-        return linalg.reduce_vector(_coords_of(vector), self.rows, self.pivots)
+        return linalg.reduce_vector(self._coords_of(vector), self.rows, self.pivots)
+
+    def _coords_of(self, vector):
+        """The coordinates of an element of the owner, or of a plain vector
+        of the ambient length."""
+        if isinstance(vector, AlgebraElement):
+            if vector.algebra is not self.owner:
+                raise IncompatibleAlgebrasError("element of an algebra other than the subspace's")
+            return vector.coords
+        coords = tuple(Fraction(c) for c in vector)
+        if len(coords) != self.ambient_dim:
+            raise VariableMismatchError("vector has wrong length for subspace")
+        return coords
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -102,10 +112,24 @@ class Subspace:
         return f"<Subspace dim {self.dim} of ambient {self.ambient_dim}>"
 
 
-def _coords_of(vector):
-    if isinstance(vector, AlgebraElement):
-        return vector.coords
-    return tuple(Fraction(c) for c in vector)
+def _fraction(value) -> Fraction:
+    """A rational coordinate; InvalidArgumentError naming a value that is none."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(f"cannot read the coordinate {value!r}") from None
+
+
+def _fractions(values) -> tuple:
+    """Rational coordinates; InvalidArgumentError naming an unreadable one."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidArgumentError(f"cannot read the coordinates {values!r}") from None
+    try:
+        return tuple(map(Fraction, values))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return tuple(map(_fraction, values))
 
 
 class CoordinateVector:
@@ -125,7 +149,7 @@ class CoordinateVector:
     _length_error = VariableMismatchError
 
     def __init__(self, space, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = _fractions(coords)
         if len(coords) != space.dim:
             raise self._length_error("coordinate vector has wrong length")
         self.space = space
@@ -195,7 +219,7 @@ class AlgebraElement(CoordinateVector):
     def __pow__(self, exponent: int):
         """Square-and-multiply."""
         if exponent < 0:
-            raise ValueError("negative power in an Artinian algebra")
+            raise InvalidArgumentError(f"negative power {exponent} in an Artinian algebra")
         result = self.algebra.one()
         base = self
         while exponent:
@@ -252,32 +276,39 @@ class ArtinAlgebra:
     # -- construction ------------------------------------------------------
 
     def _nf_coords(self, mono: Monomial):
+        """The nonzero (k, c) of the normal form of a monomial, in increasing k; cached."""
         cached = self._nf_cache.get(mono)
-        if cached is not None:
-            return cached
-        if mono in self.basis:
-            coords = [ZERO] * self.dim
-            coords[self.basis.index(mono)] = ONE
-            coords = tuple(coords)
-        else:
-            p = normal_form(Polynomial.from_monomial(self.variables, mono), self.gb)
-            coords = self.coords_of_polynomial(p)
-        self._nf_cache[mono] = coords
-        return coords
+        if cached is None:
+            if mono in self.basis:
+                cached = ((self.basis.index(mono), ONE),)
+            else:
+                p = normal_form(Polynomial.from_monomial(self.variables, mono), self.gb)
+                cached = tuple(sorted((self.basis.index(m), c) for m, c in p.terms.items()))
+            self._nf_cache[mono] = cached
+        return cached
 
     @cached_property
-    def mult_table(self):
-        """Coordinates of basis[i] * basis[j], derived on first read."""
+    def products(self):
+        """Sparse structure constants: products[i][j] holds the nonzero
+        (k, c) of basis[i]*basis[j], in increasing k; derived on first read."""
         table = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                if j < i:
-                    row.append(table[j][i])
-                else:
-                    row.append(self._nf_coords(self.basis[i] * self.basis[j]))
+        for i, bi in enumerate(self.basis):
+            row = [table[j][i] for j in range(i)]
+            row += [self._nf_coords(bi * self.basis[j]) for j in range(i, self.dim)]
             table.append(row)
-        return tuple(tuple(r) for r in table)
+        return tuple(map(tuple, table))
+
+    @property
+    def mult_table(self):
+        """Dense view of `products`: the coordinates of basis[i] * basis[j]."""
+
+        def dense(pairs):
+            coords = [ZERO] * self.dim
+            for k, c in pairs:
+                coords[k] = c
+            return tuple(coords)
+
+        return tuple(tuple(map(dense, row)) for row in self.products)
 
     # -- element helpers ------------------------------------------------------
 
@@ -317,18 +348,14 @@ class ArtinAlgebra:
     def multiply_coords(self, a, b):
         """Coordinates of the product of two coordinate vectors."""
         out = [ZERO] * self.dim
-        table = self.mult_table
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = table[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
+        products = self.products
+        b_terms = [(j, b[j]) for j in compress(range(self.dim), b)]
+        for i in compress(range(self.dim), a):
+            ai, row = a[i], products[i]
+            for j, bj in b_terms:
                 f = ai * bj
-                for k, t in enumerate(row[j]):
-                    if t:
-                        out[k] += f * t
+                for k, c in row[j]:
+                    out[k] += f * c
         return out
 
     def __contains__(self, element) -> bool:
@@ -369,7 +396,7 @@ def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinA
     if len(basis) == 0:
         raise TrivialAlgebraError("quotient algebra is zero")
     algebra = ArtinAlgebra(variables, gens, order, gb, basis)
-    algebra.mult_table  # built here: every product of a presented quotient reads it
+    algebra.products  # built here: every product of a presented quotient reads them
     return algebra
 
 
@@ -497,17 +524,16 @@ def nilradical(algebra: ArtinAlgebra) -> Subspace:
     if algebra._nilradical is not None:
         return algebra._nilradical
     dim = algebra.dim
-    table = algebra.mult_table
+    products = algebra.products
     # trace of multiplication by basis element l
     traces = [
-        sum((table[l][j][j] for j in range(dim)), ZERO) for l in range(dim)
+        sum((c for j in range(dim) for k, c in products[l][j] if k == j), ZERO)
+        for l in range(dim)
     ]
-    gram = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(sum((t * traces[l] for l, t in enumerate(table[i][j]) if t), ZERO))
-        gram.append(row)
+    gram = [
+        [sum((c * traces[k] for k, c in products[i][j]), ZERO) for j in range(dim)]
+        for i in range(dim)
+    ]
     kernel = linalg.kernel_basis(gram, dim)
     space = Subspace.from_vectors(kernel, dim, owner=algebra)
     algebra._nilradical = space
@@ -559,20 +585,15 @@ def socle(algebra: ArtinAlgebra) -> Subspace:
     m = maximal_ideal(algebra)
     if m.is_zero():
         return algebra.full_space()
-    rows = []
     dim = algebra.dim
-    table = algebra.mult_table
+    # factors with int zeros, which test faster than Fraction zeros
+    units = [[int(k == j) for k in range(dim)] for j in range(dim)]
+    rows = []
     for mrow in m.rows:
-        # matrix of v -> m*v, stacked row by row over output coordinates
-        mat = [[ZERO] * dim for _ in range(dim)]
-        for i, mi in enumerate(mrow):
-            if not mi:
-                continue
-            for j in range(dim):
-                for k, t in enumerate(table[i][j]):
-                    if t:
-                        mat[k][j] += mi * t
-        rows.extend(mat)
+        mrow = [c if c else 0 for c in mrow]
+        # matrix of v -> m*v: its columns are the products m * basis[j]
+        columns = [algebra.multiply_coords(mrow, unit) for unit in units]
+        rows.extend(zip(*columns))
     kernel = linalg.kernel_basis(rows, dim)
     return Subspace.from_vectors(kernel, dim, owner=algebra)
 

@@ -14,15 +14,17 @@ stored by its coordinates on the non-pivot slots: a `DifferentialForm` is
 an `algebra.CoordinateVector`, with the same arithmetic as an element.
 
 Standard monomials are closed under division, so the partial derivatives
-of an element's polynomial lie on the basis already: `d` reads them off
-without a normal form, and only the relations are normal-formed.
+of an element lie on the basis already: `partials` reads them off the
+basis coordinates without a normal form, and only the relations are
+normal-formed.
 
 A truncated ring Q[t]/<t^(N+1)> is an ArtinAlgebra like any other, so
 its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
 (characteristic zero), and the quotient coordinates are the coefficients
-of dt, t dt, ..., t^(N-1) dt.  `pushforward` takes any AlgebraMap and
-returns a form of the target's module; into a truncated ring it sums
-term by term on coefficient vectors.
+of dt, t dt, ..., t^(N-1) dt.  `pushforward` has one path for every
+AlgebraMap: it sums h(a_j) * d(h(X_j)) in the target's ambient
+coordinates (`_times` of `partials`) and reduces once, which gives the
+same class because the relations span a submodule.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ from .algebra import (
 )
 from .errors import IncompatibleAlgebrasError, NotLocalOverQError
 from .groebner import normal_form
-from .polycore import Polynomial
-from .truncated import TruncatedPolyAlgebra
+from .polycore import Monomial, Polynomial
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DifferentialForm(CoordinateVector):
@@ -79,23 +79,24 @@ class KahlerModule:
 
     def __init__(self, algebra: ArtinAlgebra):
         self.algebra = algebra
-        dim = algebra.dim
-        nvars = len(algebra.variables)
-        self.ambient_dim = nvars * dim
+        self.ambient_dim = len(algebra.variables) * algebra.dim
+        # (i, slot, e): d(basis[i]) has e * basis[k] dX_j at slot j*dim + k
+        self._derivative_terms = []
+        for i, mono in enumerate(algebra.basis):
+            for j, e in enumerate(mono.exps):
+                if e:
+                    exps = list(mono.exps)
+                    exps[j] = e - 1
+                    k = algebra.basis.index(Monomial(exps))
+                    self._derivative_terms.append((i, j * algebra.dim + k, e))
         relations = []
         for g in algebra.gb.polys:
-            partials = [
-                algebra.coords_of_polynomial(
-                    normal_form(g.partial_derivative(name), algebra.gb)
-                )
-                for name in algebra.variables
-            ]
-            for i in range(dim):
-                basis_coords = [ZERO] * dim
-                basis_coords[i] = ONE
-                vec = []
-                for j in range(nvars):
-                    vec.extend(algebra.multiply_coords(basis_coords, partials[j]))
+            dg = []
+            for name in algebra.variables:
+                partial = normal_form(g.partial_derivative(name), algebra.gb)
+                dg.extend(algebra.coords_of_polynomial(partial))
+            for i in range(algebra.dim):
+                vec = self._times(algebra.basis_element(i).coords, dg)
                 if any(vec):
                     relations.append(vec)
         self.rel_rows, self.rel_pivots = linalg.rref(relations)
@@ -131,31 +132,39 @@ class KahlerModule:
         the class of p in the algebra."""
         return self.d(self.algebra.from_polynomial(p))
 
-    def d(self, element: AlgebraElement) -> DifferentialForm:
-        """sum_j (da/dX_j) dX_j, with no normal form (see the module docstring)."""
+    def partials(self, element: AlgebraElement) -> list:
+        """The ambient vector of d(element), unreduced: the blocks
+        da/dX_1, ..., da/dX_m, with no normal form (see the module docstring)."""
         if element.algebra is not self.algebra:
             raise IncompatibleAlgebrasError("element of a different algebra")
-        A = self.algebra
-        p = element.to_polynomial()
-        vec = []
-        for name in A.variables:
-            vec.extend(A.coords_of_polynomial(p.partial_derivative(name)))
-        return self.form_from_ambient(vec)
+        coords = element.coords
+        vec = [ZERO] * self.ambient_dim
+        for i, slot, e in self._derivative_terms:
+            if coords[i]:
+                vec[slot] = coords[i] * e
+        return vec
+
+    def d(self, element: AlgebraElement) -> DifferentialForm:
+        """sum_j (da/dX_j) dX_j: the class of `partials`."""
+        return self.form_from_ambient(self.partials(element))
 
     def act(self, element: AlgebraElement, form: DifferentialForm) -> DifferentialForm:
-        """Module action a * omega, computed through the mult table."""
+        """Module action a * omega, through `_times`."""
         if element.algebra is not self.algebra:
             raise IncompatibleAlgebrasError("element of a different algebra")
         if form.module is not self:
             raise IncompatibleAlgebrasError("form over a different module")
-        A = self.algebra
-        dim = A.dim
         ambient = self.ambient_representative(form)
+        return self.form_from_ambient(self._times(element.coords, ambient))
+
+    def _times(self, coords, ambient) -> list:
+        """The ambient vector a * ambient, unreduced, for a of these coordinates:
+        each dX_j block multiplied with the algebra's `multiply_coords`."""
+        dim = self.algebra.dim
         out = []
-        for j in range(len(A.variables)):
-            block = ambient[j * dim : (j + 1) * dim]
-            out.extend(A.multiply_coords(element.coords, block))
-        return self.form_from_ambient(out)
+        for start in range(0, self.ambient_dim, dim):
+            out.extend(self.algebra.multiply_coords(coords, ambient[start : start + dim]))
+        return out
 
     def __repr__(self):
         return f"<KahlerModule dim {self.dim} over algebra dim {self.algebra.dim}>"
@@ -173,7 +182,7 @@ def d(element: AlgebraElement) -> DifferentialForm:
 
 
 def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
-    """Functorial map on forms along a homomorphism: sum a dX_j -> h(a) d(h(X_j)).
+    """Functorial map on forms along a homomorphism: sum a_j dX_j -> sum h(a_j) d(h(X_j)).
 
     The result is a form of the target's module.  Satisfies
     pushforward(h, d(a)) = d(h(a)).
@@ -185,30 +194,14 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     ambient = module.ambient_representative(form)
     dim = source.dim
     target_module = kahler_module(hom.target)
-    if isinstance(hom.target, TruncatedPolyAlgebra):
-        # the coordinates are the coefficients of t^k dt for k < n; sum
-        # u * h_j' term by term, because the images are mostly zero and
-        # going through apply and act costs more
-        n = hom.target.truncation
-        out = [ZERO] * n
-        for j, img in enumerate(hom.images):
-            deriv = [c * k for k, c in enumerate(img.coords)][1:]
-            for i in range(dim):
-                c = ambient[j * dim + i]
-                if not c:
-                    continue
-                for a, ua in enumerate(hom.basis_image(i).coords):
-                    if not ua:
-                        continue
-                    for b in range(min(len(deriv), n - a)):
-                        if deriv[b]:
-                            out[a + b] += c * ua * deriv[b]
-        return DifferentialForm._raw(target_module, tuple(out))
-    total = target_module.zero_form()
+    out = [ZERO] * target_module.ambient_dim
     for j, img in enumerate(hom.images):
-        coefficient = hom.apply(AlgebraElement(source, ambient[j * dim : (j + 1) * dim]))
-        total = total + target_module.act(coefficient, target_module.d(img))
-    return total
+        block = ambient[j * dim : (j + 1) * dim]
+        if any(block):
+            coefficient = hom.apply(AlgebraElement._raw(source, tuple(block)))
+            term = target_module._times(coefficient.coords, target_module.partials(img))
+            out = [a + b if b else a for a, b in zip(out, term)]
+    return target_module.form_from_ambient(out)
 
 
 def h0_de_rham(algebra: ArtinAlgebra) -> Subspace:

@@ -2,7 +2,8 @@
 
 The ring Q[t]/<t^(N+1)> is a `TruncatedPolyAlgebra`, an `ArtinAlgebra`
 whose elements are `AlgebraElement`s holding the coefficients of t^k;
-it differs from a presented quotient only in how it multiplies.
+it differs from a presented quotient only in how it multiplies (by
+truncated convolution; see the class for why).
 
 A homomorphism from a quotient algebra into a truncated ring is a
 `TruncatedHom`: an `algebra.AlgebraMap`, stored by the images of the
@@ -29,7 +30,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, is_local_over_q
+from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fraction, _fractions, is_local_over_q
 from .errors import (
     DependentInputError,
     IncompatibleAlgebrasError,
@@ -60,9 +61,12 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
 
     An ArtinAlgebra over ("t",) with Groebner basis {t^(N+1)} and basis
     1, t, ..., t^N, so coordinates are the coefficients of t^k.  There is
-    one ring per N.  Multiplication is truncated convolution: the ring
-    stores no multiplication table (it would hold (N+1)^3 entries) and
-    derives one only if a structural function reads it.
+    one ring per N.  It is the one subclass with its own `multiply_coords`,
+    truncated convolution: the generic product over sparse structure
+    constants gives the same coordinates, but made the hom-sweep and
+    staircase benchmark jobs, which multiply mostly here, 3% and 8%
+    slower.  The inherited `products` property derives the table only
+    if a structural function reads it.
     """
 
     _rings: dict = {}
@@ -103,12 +107,12 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
     def t_power(self, exponent: int, coefficient=ONE) -> AlgebraElement:
         coeffs = [ZERO] * (self.truncation + 1)
         if 0 <= exponent <= self.truncation:
-            coeffs[exponent] = Fraction(coefficient)
+            coeffs[exponent] = _fraction(coefficient)
         return AlgebraElement._raw(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs: Iterable) -> AlgebraElement:
         """The element with these t^k coefficients, padded or cut to length N+1."""
-        coeffs = [Fraction(c) for c in coeffs][: self.truncation + 1]
+        coeffs = list(_fractions(coeffs)[: self.truncation + 1])
         coeffs += [ZERO] * (self.truncation + 1 - len(coeffs))
         return AlgebraElement._raw(self, tuple(coeffs))
 
@@ -269,7 +273,7 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
         else:
             try:
                 normalized.append(target.from_coeffs(img))
-            except (TypeError, ValueError, ZeroDivisionError):
+            except InvalidArgumentError:
                 raise InvalidArgumentError(f"cannot read the image {img!r}") from None
     return TruncatedHom(algebra, target, normalized)
 

@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
+from artinalg import groebner
 from artinalg.algebra import (
+    AlgebraElement,
     AlgebraMap,
     build_algebra,
     embedding_dimension,
@@ -26,9 +29,13 @@ from artinalg.errors import (
     NotLocalOverQError,
     NotZeroDimensionalError,
     TrivialAlgebraError,
+    VariableMismatchError,
 )
-from artinalg.polycore import parse_polynomial
-from conftest import algebra_from_strings
+from artinalg.berger import q_algebra
+from artinalg.kahler import DifferentialForm, kahler_module
+from artinalg.polycore import Polynomial, parse_polynomial
+from artinalg.truncated import TruncatedPolyAlgebra
+from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import brute_force_nilpotent, random_element, random_zero_dim_gens
 
 
@@ -331,3 +338,124 @@ class TestAlgebraMap:
         x = chain3.variable_element("X")
         with pytest.raises(Exception):
             AlgebraMap(q2, chain3, [x, x])  # Y -> x violates X^2 Y unless checked
+
+
+def reference_mult_table(A):
+    """The dense construction of `mult_table` before `products`, with its
+    normal-form helper, kept as the reference."""
+    cache = {}
+
+    def nf_coords(mono):
+        if mono not in cache:
+            coords = [Fraction(0)] * A.dim
+            if mono in A.basis:
+                coords[A.basis.index(mono)] = Fraction(1)
+            else:
+                p = groebner.normal_form(Polynomial.from_monomial(A.variables, mono), A.gb)
+                for m, c in p.terms.items():
+                    coords[A.basis.index(m)] = c
+            cache[mono] = tuple(coords)
+        return cache[mono]
+
+    table = []
+    for i in range(A.dim):
+        row = []
+        for j in range(A.dim):
+            if j < i:
+                row.append(table[j][i])
+            else:
+                row.append(nf_coords(A.basis[i] * A.basis[j]))
+        table.append(row)
+    return tuple(tuple(r) for r in table)
+
+
+STRUCTURE_ALGEBRAS = {
+    "golden": lambda: algebra_from_strings(GOLDEN_VARS, GOLDEN_GENS),
+    **{f"Q{r}": (lambda r=r: q_algebra(r)) for r in range(1, 6)},
+    "<X,Y>^4": lambda: algebra_from_strings(("X", "Y"), ("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4")),
+    "<X,Y,Z>^3": lambda: build_algebra(
+        ("X", "Y", "Z"),
+        ["X^3", "X^2*Y", "X^2*Z", "X*Y^2", "X*Y*Z", "X*Z^2", "Y^3", "Y^2*Z", "Y*Z^2", "Z^3"],
+    ),
+    "X^12": lambda: algebra_from_strings(("X",), ("X^12",)),
+    "Q[t]/<t^7>": lambda: TruncatedPolyAlgebra(6),
+}
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("name", list(STRUCTURE_ALGEBRAS))
+    def test_products_are_the_nonzero_normal_form_coordinates(self, name):
+        A = STRUCTURE_ALGEBRAS[name]()
+        for i, bi in enumerate(A.basis):
+            for j, bj in enumerate(A.basis):
+                nf = groebner.normal_form(Polynomial.from_monomial(A.variables, bi * bj), A.gb)
+                expected = sorted((A.basis.index(m), c) for m, c in nf.terms.items())
+                assert list(A.products[i][j]) == expected
+                assert all(c != 0 for _, c in A.products[i][j])
+                assert A.products[i][j] == A.products[j][i]
+        assert A.mult_table == reference_mult_table(A)
+
+    def test_the_truncated_ring_derives_products_only_when_read(self):
+        B = TruncatedPolyAlgebra(43)
+        assert (B.t_power(2) * B.t_power(3)).coords == B.t_power(5).coords
+        assert "products" not in vars(B)
+        assert nilradical(B).dim == 43
+        assert "products" in vars(B)
+
+
+class TestSubspaceOwner:
+    """A subspace reads only elements of its own algebra, or plain vectors."""
+
+    def other_q2(self):
+        return build_algebra(("X", "Y"), ["X^3", "X^2*Y", "Y^2"])
+
+    def test_contains_rejects_an_element_of_another_algebra(self, q2):
+        soc = socle(q2)
+        assert soc.contains(q2.from_string("X^2"))
+        other = self.other_q2()
+        assert other.dim == q2.dim
+        with pytest.raises(IncompatibleAlgebrasError):
+            socle(q_algebra(2)).contains(other.one())
+        with pytest.raises(IncompatibleAlgebrasError):
+            soc.contains(other.from_string("X^2"))
+
+    def test_reduce_rejects_an_element_of_another_algebra(self, q2):
+        nil = nilradical(q2)
+        assert not any(nil.reduce(q2.from_string("X + Y")))
+        assert nil.reduce([1, 0, 0, 0, 0]) == nil.reduce(q2.one())
+        with pytest.raises(IncompatibleAlgebrasError):
+            nil.reduce(self.other_q2().from_string("X + Y"))
+
+    @pytest.mark.parametrize("length", [2, 7])
+    def test_a_vector_of_the_wrong_length_is_rejected(self, q2, length):
+        nil = nilradical(q2)
+        for method in (nil.contains, nil.reduce):
+            with pytest.raises(VariableMismatchError):
+                method([1] + [0] * (length - 1))
+
+
+def _form_holding(value):
+    km = kahler_module(q_algebra(2))
+    return DifferentialForm(km, [value] + [0] * (km.dim - 1))
+
+
+class TestUnreadableCoordinates:
+    """A coordinate that is no rational ends in InvalidArgumentError naming it."""
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: TruncatedPolyAlgebra(3).from_coeffs(["a"]), "'a'"),
+            (lambda: TruncatedPolyAlgebra(3).from_coeffs(None), "None"),
+            (lambda: TruncatedPolyAlgebra(3).from_coeffs(["1/0"]), "'1/0'"),
+            (lambda: TruncatedPolyAlgebra(3).t_power(1, "b"), "'b'"),
+            (lambda: AlgebraElement(q_algebra(2), [None] * 5), "None"),
+            (lambda: _form_holding("a"), "'a'"),
+            (lambda: q_algebra(2).variable_element("X") ** -1, "-1"),
+        ],
+        ids=["from_coeffs-a", "from_coeffs-None", "from_coeffs-1/0", "t_power", "element-None",
+             "form-a", "negative-power"],
+    )
+    def test_invalid_argument(self, call, named):
+        with pytest.raises(InvalidArgumentError, match=re.escape(named)):
+            call()

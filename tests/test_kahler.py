@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from artinalg import groebner, linalg
-from artinalg.algebra import AlgebraMap, nilradical, quotient_algebra
+from artinalg.algebra import AlgebraElement, AlgebraMap, nilradical, quotient_algebra
+from artinalg.berger import q_algebra, surjection_to_q
 from artinalg.errors import IncompatibleAlgebrasError, NotLocalOverQError
 from artinalg.kahler import (
     DifferentialForm,
@@ -17,8 +18,8 @@ from artinalg.kahler import (
     pushforward,
 )
 from artinalg.polycore import Polynomial, parse_polynomial
-from artinalg.truncated import TruncatedPolyAlgebra, make_hom
-from conftest import algebra_from_strings
+from artinalg.truncated import TruncatedPolyAlgebra, make_hom, search_homs
+from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import random_element, random_polynomial
 
 ZERO = Fraction(0)
@@ -311,3 +312,82 @@ class TestOperandsOfDifferentSpaces:
         assert form.module is km and q2.one().algebra is q2
         assert (form - form).is_zero() and form.scale(3) == form + form + form
         assert -form == form.scale(-1) and hash(form.scale(2)) == hash(form + form)
+
+
+def reference_pushforward(hom, form):
+    """The two-branch `pushforward` the one path replaced, kept as the reference."""
+    module = form.module
+    source = module.algebra
+    ambient = module.ambient_representative(form)
+    dim = source.dim
+    target_module = kahler_module(hom.target)
+    if isinstance(hom.target, TruncatedPolyAlgebra):
+        n = hom.target.truncation
+        out = [ZERO] * n
+        for j, img in enumerate(hom.images):
+            deriv = [c * k for k, c in enumerate(img.coords)][1:]
+            for i in range(dim):
+                c = ambient[j * dim + i]
+                if not c:
+                    continue
+                for a, ua in enumerate(hom.basis_image(i).coords):
+                    if not ua:
+                        continue
+                    for b in range(min(len(deriv), n - a)):
+                        if deriv[b]:
+                            out[a + b] += c * ua * deriv[b]
+        return DifferentialForm._raw(target_module, tuple(out))
+    total = target_module.zero_form()
+    for j, img in enumerate(hom.images):
+        coefficient = hom.apply(AlgebraElement(source, ambient[j * dim : (j + 1) * dim]))
+        total = total + target_module.act(coefficient, target_module.d(img))
+    return total
+
+
+FORM_POOL = (ZERO, ZERO, ZERO, Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2))
+
+
+def assert_pushforwards_equal_the_reference(hom, rng, count=25):
+    """Random forms of the source, not only differentials, pushed both ways."""
+    km = kahler_module(hom.source)
+    for _ in range(count):
+        form = km.form_from_ambient([rng.choice(FORM_POOL) for _ in range(km.ambient_dim)])
+        got = pushforward(hom, form)
+        assert got.module is kahler_module(hom.target)
+        assert got.coords == reference_pushforward(hom, form).coords
+
+
+ONE_PATH_ALGEBRAS = {
+    "golden": lambda: algebra_from_strings(GOLDEN_VARS, GOLDEN_GENS),
+    "Q2": lambda: q_algebra(2),
+    "Q5": lambda: q_algebra(5),
+    "<X,Y>^4": lambda: algebra_from_strings(("X", "Y"), ("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4")),
+}
+
+
+class TestPushforwardOnePath:
+    """pushforward's exact coordinates equal the two-branch reference's."""
+
+    @pytest.mark.parametrize("name", list(ONE_PATH_ALGEBRAS))
+    def test_along_searched_homs(self, name):
+        A = ONE_PATH_ALGEBRAS[name]()
+        rng = random.Random(f"pushforward:{name}")
+        homs = search_homs(A, 12, strategy=("monomial", "dense-random"), budget=200, seed=4)
+        sample = rng.sample(homs, 10)
+        for hom in sample:
+            assert_pushforwards_equal_the_reference(hom, rng)
+
+    @pytest.mark.parametrize("extra", [["X^3"], ["Y^2", "X^2*Y"], ["X + Y^2"]])
+    def test_along_a_quotient_surjection(self, golden, extra):
+        _, pi = quotient_algebra(golden, extra)
+        assert_pushforwards_equal_the_reference(pi, random.Random(f"quotient:{extra}"))
+
+    @pytest.mark.parametrize("name, truncation, images, r", [
+        ("Q2", 5, ["t^2", "t^3"], 2),
+        ("<X,Y>^4", 15, ["t^4", "t^5"], 3),
+    ])
+    def test_along_the_map_onto_q(self, name, truncation, images, r):
+        A = ONE_PATH_ALGEBRAS[name]()
+        to_q = surjection_to_q(A, make_hom(A, truncation, images), r).to_q
+        assert to_q.target.dim == 2 * r + 1
+        assert_pushforwards_equal_the_reference(to_q, random.Random(f"to_q:{name}"))
