@@ -39,7 +39,7 @@ from .errors import (
     VariableMismatchError,
 )
 from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
-from .polycore import Monomial, MonomialOrder, Polynomial, check_variables
+from .polycore import Monomial, MonomialOrder, Polynomial, check_variables, parse_polynomial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -327,8 +327,6 @@ class ArtinAlgebra:
         return AlgebraElement(self, self.coords_of_polynomial(normal_form(p, self.gb)))
 
     def from_string(self, text: str) -> AlgebraElement:
-        from .polycore import parse_polynomial
-
         return self.from_polynomial(parse_polynomial(text, self.variables))
 
     def zero(self) -> AlgebraElement:
@@ -361,14 +359,6 @@ class ArtinAlgebra:
     def __contains__(self, element) -> bool:
         return isinstance(element, AlgebraElement) and element.algebra is self
 
-    def full_space(self) -> Subspace:
-        rows = []
-        for i in range(self.dim):
-            row = [ZERO] * self.dim
-            row[i] = ONE
-            rows.append(row)
-        return Subspace(self, self.dim, rows, list(range(self.dim)))
-
     def __repr__(self):
         return f"<ArtinAlgebra dim {self.dim} over {self.variables}>"
 
@@ -382,7 +372,7 @@ def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinA
     """
     variables = check_variables(variables)
     gens = [
-        g if isinstance(g, Polynomial) else _parse(variables, g)
+        g if isinstance(g, Polynomial) else parse_polynomial(g, variables)
         for g in gens
     ]
     if not gens:
@@ -393,17 +383,9 @@ def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinA
     if gb.is_trivial():
         raise TrivialAlgebraError("ideal contains 1; the quotient is the zero ring")
     basis = standard_monomials(gb)
-    if len(basis) == 0:
-        raise TrivialAlgebraError("quotient algebra is zero")
     algebra = ArtinAlgebra(variables, gens, order, gb, basis)
     algebra.products  # built here: every product of a presented quotient reads them
     return algebra
-
-
-def _parse(variables, text):
-    from .polycore import parse_polynomial
-
-    return parse_polynomial(text, variables)
 
 
 # -- maps -------------------------------------------------------------------
@@ -552,6 +534,14 @@ def _require_local(algebra: ArtinAlgebra):
         )
 
 
+def _require_graded(algebra: ArtinAlgebra, message: str) -> GradingInfo:
+    """The grading data; NotGradedError with the message when not standard graded."""
+    info = grading_info(algebra)
+    if not info.is_standard_graded:
+        raise NotGradedError(message)
+    return info
+
+
 def maximal_ideal(algebra: ArtinAlgebra) -> Subspace:
     _require_local(algebra)
     return nilradical(algebra)
@@ -583,8 +573,6 @@ def nilpotency_index(algebra: ArtinAlgebra) -> int:
 def socle(algebra: ArtinAlgebra) -> Subspace:
     """Annihilator of the maximal ideal, as a linear system."""
     m = maximal_ideal(algebra)
-    if m.is_zero():
-        return algebra.full_space()
     dim = algebra.dim
     # factors with int zeros, which test faster than Fraction zeros
     units = [[int(k == j) for k in range(dim)] for j in range(dim)]
@@ -605,8 +593,6 @@ def is_gorenstein(algebra: ArtinAlgebra) -> bool:
 def embedding_dimension(algebra: ArtinAlgebra) -> int:
     """dim M/M^2 for the maximal ideal M."""
     m = maximal_ideal(algebra)
-    if m.is_zero():
-        return 0
     m2 = subspace_product(algebra, m, m)
     return m.dim - m2.dim
 
@@ -639,9 +625,7 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
 
 
 def graded_component_span(algebra: ArtinAlgebra, degree: int) -> Subspace:
-    info = grading_info(algebra)
-    if not info.is_standard_graded:
-        raise NotGradedError("algebra is not standard graded")
+    info = _require_graded(algebra, "algebra is not standard graded")
     if degree >= len(info.components):
         return Subspace(algebra, algebra.dim, [], [])
     return info.components[degree]
@@ -649,9 +633,7 @@ def graded_component_span(algebra: ArtinAlgebra, degree: int) -> Subspace:
 
 def euler_derivation(algebra: ArtinAlgebra, element: AlgebraElement) -> AlgebraElement:
     """D(a) = sum over degrees d of d * (degree-d component of a)."""
-    info = grading_info(algebra)
-    if not info.is_standard_graded:
-        raise NotGradedError("Euler derivation needs a standard graded algebra")
+    _require_graded(algebra, "Euler derivation needs a standard graded algebra")
     coords = [c * deg for c, deg in zip(element.coords, algebra.degrees)]
     return AlgebraElement(algebra, coords)
 
@@ -678,7 +660,7 @@ def quotient_algebra(algebra: ArtinAlgebra, extra_gens):
         elif isinstance(g, Polynomial):
             polys.append(g)
         else:
-            polys.append(_parse(algebra.variables, g))
+            polys.append(parse_polynomial(g, algebra.variables))
     quotient = build_algebra(
         algebra.variables, list(algebra.gens) + polys, algebra.order
     )

@@ -32,8 +32,8 @@ from .algebra import (
     AlgebraElement,
     AlgebraMap,
     ArtinAlgebra,
+    _require_graded,
     build_algebra,
-    grading_info,
     is_principal_ideal_algebra,
     quotient_algebra,
     socle,
@@ -43,7 +43,6 @@ from .errors import (
     InvalidArgumentError,
     NotDegreeOneError,
     NotGorensteinError,
-    NotGradedError,
     PrincipalAlgebraError,
     WitnessInsufficientError,
 )
@@ -52,7 +51,6 @@ from .polycore import Polynomial, parse_polynomial
 from .truncated import TruncatedHom, make_hom
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def q_algebra(r: int) -> ArtinAlgebra:
@@ -167,9 +165,7 @@ def degree_one_witness_hom(algebra: ArtinAlgebra) -> TruncatedHom:
     component of dimension at least two: kill the quadratic part and send
     two independent residue classes of the variables to t^2 and t^3.
     """
-    info = grading_info(algebra)
-    if not info.is_standard_graded:
-        raise NotGradedError("degree-one witness needs a standard grading")
+    _require_graded(algebra, "degree-one witness needs a standard grading")
     nvars = len(algebra.variables)
     linear_rows = []
     for g in algebra.gb.polys:
@@ -178,9 +174,7 @@ def degree_one_witness_hom(algebra: ArtinAlgebra) -> TruncatedHom:
             for mono, c in g.terms.items():
                 row[mono.exps.index(1)] = c
             linear_rows.append(row)
-    kernel = linalg.kernel_basis(linear_rows, nvars) if linear_rows else [
-        [ONE if i == j else ZERO for j in range(nvars)] for i in range(nvars)
-    ]
+    kernel = linalg.kernel_basis(linear_rows, nvars)
     if len(kernel) < 2:
         raise PrincipalAlgebraError("degree-one component is at most a line")
     a, b = kernel[0], kernel[1]
@@ -201,9 +195,7 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     agree, and is row-reduced only otherwise.  `reverify` rechecks every
     stored rank by elimination.
     """
-    info = grading_info(algebra)
-    if not info.is_standard_graded:
-        raise NotGradedError("critical degree needs a standard graded algebra")
+    info = _require_graded(algebra, "critical degree needs a standard graded algebra")
     if is_principal_ideal_algebra(algebra):
         raise PrincipalAlgebraError("critical degree is undefined for principal algebras")
     n = info.nilpotency_index
@@ -274,9 +266,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
     re-checks by rank computations that the induced map from Q(r) is an
     isomorphism.  A failed check is recorded in the result, not raised.
     """
-    info = grading_info(algebra)
-    if not info.is_standard_graded:
-        raise NotGradedError("staircase surjection needs a standard grading")
+    _require_graded(algebra, "staircase surjection needs a standard grading")
     if _image_rank(algebra, hom, r) < 2:
         raise WitnessInsufficientError(
             f"hom keeps the degree-{r} component below dimension 2"
@@ -347,9 +337,7 @@ def omega_witness(algebra: ArtinAlgebra, x: AlgebraElement, y: AlgebraElement, r
     """The form x^(r-1) (x dy - y dx) for degree-one x and y."""
     if r < 1:
         raise InvalidArgumentError(f"r must be >= 1, got {r}")
-    info = grading_info(algebra)
-    if not info.is_standard_graded:
-        raise NotGradedError("witness form needs a standard grading")
+    _require_graded(algebra, "witness form needs a standard grading")
     for e in (x, y):
         if any(
             c != 0 and d != 1 for c, d in zip(e.coords, algebra.degrees)

@@ -144,8 +144,6 @@ def _interreduce(polys, order: MonomialOrder):
             if p.is_zero():
                 continue
             others = [q for k, q in enumerate(work) if k != i and not q.is_zero()]
-            if not others:
-                continue
             r = _reduce(p, others, order)
             if r != p:
                 work[i] = r
@@ -175,8 +173,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
         order.permutation_for(variables)  # validate compatibility
 
     basis = _interreduce(gens, order)
-    if not basis:
-        return GroebnerBasis(variables, order, [])
     key = order.key_function(variables)
 
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
@@ -205,8 +201,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """The unique remainder of p supported on standard monomials."""
-    if not gb.polys:
-        return p
     return _reduce(p, gb.polys, gb.order)
 
 
@@ -238,18 +232,21 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
             )
         bounds.append(min(pure))
 
-    def boxed(prefix, i):
-        if i == nvars:
-            yield Monomial(prefix)
-            return
-        for e in range(bounds[i]):
-            yield from boxed(prefix + [e], i + 1)
-
-    monos = [
-        m
-        for m in boxed([], 0)
-        if not any(lead.divides(m) for lead in leads)
-    ]
+    # grow the standard monomials one variable at a time: a divisible
+    # exponent stops the run, since every larger one is a multiple of it
+    monos = [Monomial((0,) * nvars)]
+    for i in range(nvars):
+        grown = []
+        for m in monos:
+            grown.append(m)
+            exps = list(m.exps)
+            for e in range(1, bounds[i]):
+                exps[i] = e
+                mono = Monomial(exps)
+                if any(lead.divides(mono) for lead in leads):
+                    break
+                grown.append(mono)
+        monos = grown
     key = gb.order.key_function(variables)
     monos.sort(key=key)
     return StandardMonomialBasis(variables, monos)

@@ -208,8 +208,6 @@ def h0_de_rham(algebra: ArtinAlgebra) -> Subspace:
     """Kernel of d : A -> Omega_A."""
     km = kahler_module(algebra)
     columns = [km.d(algebra.basis_element(i)).coords for i in range(algebra.dim)]
-    if km.dim == 0:
-        return algebra.full_space()
     rows = [[columns[i][r] for i in range(algebra.dim)] for r in range(km.dim)]
     kernel = linalg.kernel_basis(rows, algebra.dim)
     return Subspace.from_vectors(kernel, algebra.dim, owner=algebra)

@@ -3,17 +3,21 @@
 Row-echelon machinery shared by the Groebner, algebra, differentials and
 truncated layers.  Vectors are sequences of `fractions.Fraction`; all
 routines are deterministic (first usable pivot wins) so every downstream
-basis is reproducible.  `rref` is Gauss-Jordan elimination; `echelon` is
-the one forward elimination, which `rank` counts and
-`truncated.triangularize` runs on image columns.
+basis is reproducible.  `echelon` is the one forward elimination:
+`rank` counts its pivots, `truncated.triangularize` runs it on image
+columns, and `rref` is `echelon` plus back-substitution (each pivot row
+normalized, then its column cleared from the rows before it), which
+`kernel_basis`, `intersect_rowspaces`, `invert_matrix` and every
+`algebra.Subspace` read.
 
 The matrices here are mostly zeros, so the kernels do no `Fraction`
 work on a zero: an entry is tested by its truth value, a row operation
 runs only over the columns where the pivot row is nonzero (listed once
 per pivot), a zero entry of a normalized pivot row is the shared `ZERO`,
 and a row is re-tested for zero only when a row operation changed it.
-Skipping a zero changes no value, so the rows, pivots and kernel bases
-are those of plain Gauss-Jordan elimination, and every entry of an
+Skipping a zero changes no value, and the reduced row echelon form of
+a row space is unique, so the rows, pivots and kernel bases are those of
+plain Gauss-Jordan elimination, and every entry of an
 `rref` row is a `Fraction`, also for integer input.
 """
 
@@ -36,10 +40,10 @@ def _take_pivot(work, col):
 
 
 def _normalized(pivot_row, col):
-    """The pivot row scaled to a leading 1, and its (column, entry) support."""
+    """The nonzero (column, entry) pairs of the pivot row scaled to a
+    leading 1 in `col`, where its first nonzero entry is."""
     inv = ONE / pivot_row[col]
-    row = [c * inv if c else ZERO for c in pivot_row]
-    return row, [(k, row[k]) for k in range(col, len(row)) if row[k]]
+    return [(k, c * inv) for k, c in enumerate(pivot_row[col:], col) if c]
 
 
 def _eliminate(work, col, support):
@@ -55,36 +59,6 @@ def _eliminate(work, col, support):
                 continue
         rest.append(r)
     return rest
-
-
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form.
-
-    Returns (reduced_rows, pivot_columns); zero rows are dropped and
-    pivot columns are strictly increasing.
-    """
-    work = [r for r in map(list, rows) if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        pivot_row = _take_pivot(work, col)
-        if pivot_row is None:
-            continue
-        pivot_row, support = _normalized(pivot_row, col)
-        for prev in out:
-            f = prev[col]
-            if f:
-                for k, b in support:
-                    prev[k] -= f * b
-        work = _eliminate(work, col, support)
-        out.append(pivot_row)
-        pivots.append(col)
-        if not work:
-            break
-    return out, pivots
 
 
 def reduce_vector(vec, rows, pivots):
@@ -127,13 +101,39 @@ def echelon(rows, ncols=None):
         pivot_rows.append(pivot)
         if not work:
             break
-        work = _eliminate(work, col, _normalized(pivot, col)[1])
+        work = _eliminate(work, col, _normalized(pivot, col))
     return pivot_rows, work
 
 
 def rank(rows) -> int:
     """Row rank: the number of pivots of `echelon`."""
     return len(echelon(rows)[0])
+
+
+def rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form: `echelon`, then back-substitution.
+
+    Returns (reduced_rows, pivot_columns); zero rows are dropped and
+    pivot columns are strictly increasing.
+    """
+    out: list[list[Fraction]] = []
+    pivots: list[int] = []
+    col = -1
+    for pivot_row in echelon(rows)[0]:
+        # pivot columns increase, and a pivot row is zero before its own
+        col = next(k for k in range(col + 1, len(pivot_row)) if pivot_row[k])
+        support = _normalized(pivot_row, col)
+        for prev in out:
+            f = prev[col]
+            if f:
+                for k, b in support:
+                    prev[k] -= f * b
+        row = [ZERO] * len(pivot_row)
+        for k, b in support:
+            row[k] = b
+        out.append(row)
+        pivots.append(col)
+    return out, pivots
 
 
 def kernel_basis(rows, ncols: int):

@@ -251,8 +251,6 @@ class Polynomial:
 
     def scale(self, value) -> "Polynomial":
         c = Fraction(value)
-        if c == 0:
-            return Polynomial.zero(self.variables)
         return Polynomial(self.variables, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":

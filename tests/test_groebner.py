@@ -57,6 +57,11 @@ class TestBuchberger:
     def test_zero_ideal(self):
         gb = buchberger([Polynomial.zero(("X",))])
         assert len(gb) == 0
+        empty = gb_of(["0"])
+        assert empty.polys == ()
+        # nothing to reduce by: the normal form is the polynomial itself
+        p = P("X^2*Y - 3/2*Y + 7")
+        assert normal_form(p, empty) == p
 
     def test_unit_ideal(self):
         gb = gb_of(["X", "X - 1"], ("X",))
@@ -151,6 +156,26 @@ class TestStandardMonomials:
                     lower = list(m.exps)
                     lower[i] -= 1
                     assert Monomial(lower) in members
+
+    def test_work_is_bounded_by_the_dimension_not_the_box(self, monkeypatch):
+        # the box of exponents below the pure powers has 10^6 monomials,
+        # the quotient only 1999
+        gb = gb_of(["X^1000", "Y^1000", "X*Y"])
+        calls = []
+        divides = Monomial.divides
+
+        def counted(self, other):
+            calls.append(other)
+            return divides(self, other)
+
+        monkeypatch.setattr(Monomial, "divides", counted)
+        basis = standard_monomials(gb)
+        monkeypatch.undo()
+        expected = [(0, 0)] + [
+            exps for k in range(1, 1000) for exps in ((0, k), (k, 0))
+        ]
+        assert [m.exps for m in basis] == expected
+        assert len(calls) <= 4 * len(basis) * len(XY) * len(gb.leading_monomials)
 
     def test_empty_variable_list_gives_the_field(self):
         gb = buchberger([Polynomial.zero(())])

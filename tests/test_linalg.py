@@ -6,6 +6,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from artinalg import linalg
+from artinalg.algebra import build_algebra, nilradical
+from artinalg.polycore import Monomial, Polynomial
 
 # zero listed twice, so that about two entries in three are zero
 SPARSE_RATIONAL = st.one_of(
@@ -104,3 +106,21 @@ def test_edge_shapes():
     assert all(type(c) is Fraction for c in reduced[0])
     assert linalg.rref([[3], [0], [-6]]) == ([[1]], [0])
     assert linalg.rank([[3], [0], [-6]]) == 1
+
+
+def test_products_of_a_maximal_ideal_against_sympy():
+    # the rows `subspace_product` passes to `Subspace.from_vectors` for
+    # M * M in Q[X,Y,Z]/<X,Y,Z>^4: 19 * 19 products of dimension 20
+    xyz = ("X", "Y", "Z")
+    gens = [
+        Polynomial.from_monomial(xyz, Monomial((a, b, 4 - a - b)))
+        for a in range(5)
+        for b in range(5 - a)
+    ]
+    algebra = build_algebra(xyz, gens)
+    m = nilradical(algebra)
+    rows = [algebra.multiply_coords(u, v) for u in m.rows for v in m.rows]
+    assert (len(rows), len(rows[0])) == (361, 20)
+    reduced, pivots = linalg.rref(rows)
+    assert (reduced, pivots) == sympy_rref(rows)
+    assert len(pivots) == 16  # M^2 is spanned by the monomials of degree 2 and 3
