@@ -17,12 +17,16 @@ The nilradical is computed as the radical of the trace bilinear form
 (a, b) -> trace(multiplication by ab), which equals the set of nilpotents
 in characteristic zero; being a single kernel computation it is easy to
 cross-check against brute-force nilpotency.
+
+Structural invariants (nilradical, socle, grading, the dimensions of M,
+M^2, ..., and kahler's module and H0_dR) are computed once per algebra by
+`_per_algebra`: repeated calls return the same, read-only object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from fractions import Fraction
 from itertools import compress
 from typing import Sequence
@@ -33,12 +37,11 @@ from .errors import (
     InvalidArgumentError,
     NotGradedError,
     NotLocalOverQError,
-    NotZeroDimensionalError,
     RelationViolatedError,
     TrivialAlgebraError,
     VariableMismatchError,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form, standard_monomials
+from .groebner import buchberger, normal_form, standard_monomials
 from .polycore import Monomial, MonomialOrder, Polynomial, check_variables, parse_polynomial
 
 ZERO = Fraction(0)
@@ -81,7 +84,7 @@ class Subspace:
             if vector.algebra is not self.owner:
                 raise IncompatibleAlgebrasError("element of an algebra other than the subspace's")
             return vector.coords
-        coords = tuple(Fraction(c) for c in vector)
+        coords = _fractions(vector)
         if len(coords) != self.ambient_dim:
             raise VariableMismatchError("vector has wrong length for subspace")
         return coords
@@ -95,7 +98,7 @@ class Subspace:
     def basis_elements(self):
         """Rows as AlgebraElements when the owner is an algebra."""
         if self.owner is None:
-            raise ValueError("subspace has no owning algebra")
+            raise InvalidArgumentError("subspace has no owning algebra")
         return [AlgebraElement(self.owner, row) for row in self.rows]
 
     def __eq__(self, other) -> bool:
@@ -269,9 +272,7 @@ class ArtinAlgebra:
         self.dim = len(basis)
         self.degrees = tuple(m.degree for m in basis)
         self._nf_cache: dict = {}
-        self._nilradical = None
-        self._grading = None
-        self._kahler = None
+        self._invariants: dict = {}  # see _per_algebra
 
     # -- construction ------------------------------------------------------
 
@@ -501,10 +502,23 @@ class AlgebraMap:
 # -- structural operations -------------------------------------------------
 
 
+def _per_algebra(fn):
+    """Computed once per algebra: fn(algebra) is kept in the algebra's
+    `_invariants`, and later calls return that same object."""
+
+    @wraps(fn)
+    def once(algebra):
+        memo = algebra._invariants
+        if fn not in memo:
+            memo[fn] = fn(algebra)
+        return memo[fn]
+
+    return once
+
+
+@_per_algebra
 def nilradical(algebra: ArtinAlgebra) -> Subspace:
     """The nilpotent elements, via the radical of the trace form."""
-    if algebra._nilradical is not None:
-        return algebra._nilradical
     dim = algebra.dim
     products = algebra.products
     # trace of multiplication by basis element l
@@ -517,9 +531,7 @@ def nilradical(algebra: ArtinAlgebra) -> Subspace:
         for i in range(dim)
     ]
     kernel = linalg.kernel_basis(gram, dim)
-    space = Subspace.from_vectors(kernel, dim, owner=algebra)
-    algebra._nilradical = space
-    return space
+    return Subspace.from_vectors(kernel, dim, owner=algebra)
 
 
 def is_local_over_q(algebra: ArtinAlgebra) -> bool:
@@ -527,11 +539,11 @@ def is_local_over_q(algebra: ArtinAlgebra) -> bool:
     return nilradical(algebra).dim == algebra.dim - 1
 
 
-def _require_local(algebra: ArtinAlgebra):
+def _require_local(algebra: ArtinAlgebra, message: str) -> Subspace:
+    """The nilradical; NotLocalOverQError with the message when not local over Q."""
     if not is_local_over_q(algebra):
-        raise NotLocalOverQError(
-            "operation needs a local algebra with rational residue field"
-        )
+        raise NotLocalOverQError(message)
+    return nilradical(algebra)
 
 
 def _require_graded(algebra: ArtinAlgebra, message: str) -> GradingInfo:
@@ -543,33 +555,29 @@ def _require_graded(algebra: ArtinAlgebra, message: str) -> GradingInfo:
 
 
 def maximal_ideal(algebra: ArtinAlgebra) -> Subspace:
-    _require_local(algebra)
-    return nilradical(algebra)
+    return _require_local(algebra, "operation needs a local algebra with rational residue field")
 
 
-def subspace_product(algebra: ArtinAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    products = []
-    for u in left.rows:
-        for v in right.rows:
-            products.append(algebra.multiply_coords(u, v))
-    return Subspace.from_vectors(products, algebra.dim, owner=algebra)
+@_per_algebra
+def _power_dims(algebra: ArtinAlgebra) -> tuple:
+    """The dimensions of M, M^2, ... for M the nilradical, nonzero powers
+    only; M^(k+1) is the span of the products of the rows of M^k and M."""
+    m = power = nilradical(algebra)
+    dims = []
+    while not power.is_zero():
+        dims.append(power.dim)
+        power = Subspace.from_vectors(
+            [algebra.multiply_coords(u, v) for u in power.rows for v in m.rows], algebra.dim
+        )
+    return tuple(dims)
 
 
 def nilpotency_index(algebra: ArtinAlgebra) -> int:
     """Least n with M^(n+1) = 0, for M the nilradical."""
-    m = nilradical(algebra)
-    if m.is_zero():
-        return 0
-    power = m
-    n = 1
-    while True:
-        nxt = subspace_product(algebra, power, m)
-        if nxt.is_zero():
-            return n
-        power = nxt
-        n += 1
+    return len(_power_dims(algebra))
 
 
+@_per_algebra
 def socle(algebra: ArtinAlgebra) -> Subspace:
     """Annihilator of the maximal ideal, as a linear system."""
     m = maximal_ideal(algebra)
@@ -592,19 +600,18 @@ def is_gorenstein(algebra: ArtinAlgebra) -> bool:
 
 def embedding_dimension(algebra: ArtinAlgebra) -> int:
     """dim M/M^2 for the maximal ideal M."""
-    m = maximal_ideal(algebra)
-    m2 = subspace_product(algebra, m, m)
-    return m.dim - m2.dim
+    maximal_ideal(algebra)
+    dims = _power_dims(algebra) + (0, 0)
+    return dims[0] - dims[1]
 
 
 def is_principal_ideal_algebra(algebra: ArtinAlgebra) -> bool:
     return embedding_dimension(algebra) <= 1
 
 
+@_per_algebra
 def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
     """Detect the standard grading (all Groebner generators homogeneous)."""
-    if algebra._grading is not None:
-        return algebra._grading
     graded = all(p.is_homogeneous() for p in algebra.gb.polys)
     components: tuple = ()
     if graded:
@@ -619,9 +626,7 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
                     vectors.append(row)
             comps.append(Subspace.from_vectors(vectors, algebra.dim, owner=algebra))
         components = tuple(comps)
-    info = GradingInfo(graded, components, nilpotency_index(algebra))
-    algebra._grading = info
-    return info
+    return GradingInfo(graded, components, nilpotency_index(algebra))
 
 
 def graded_component_span(algebra: ArtinAlgebra, degree: int) -> Subspace:

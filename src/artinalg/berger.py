@@ -47,8 +47,7 @@ from .errors import (
     WitnessInsufficientError,
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
-from .polycore import Polynomial, parse_polynomial
-from .truncated import TruncatedHom, make_hom
+from .truncated import TruncatedHom, make_hom, triangularize
 
 ZERO = Fraction(0)
 
@@ -57,13 +56,7 @@ def q_algebra(r: int) -> ArtinAlgebra:
     """The staircase algebra Q[X,Y]/<X^(r+1), X^r Y, Y^2> of dimension 2r+1."""
     if r < 1:
         raise InvalidArgumentError(f"r must be >= 1, got {r}")
-    variables = ("X", "Y")
-    gens = [
-        parse_polynomial(f"X^{r + 1}", variables),
-        parse_polynomial(f"X^{r}*Y", variables),
-        parse_polynomial("Y^2", variables),
-    ]
-    return build_algebra(variables, gens)
+    return build_algebra(("X", "Y"), [f"X^{r + 1}", f"X^{r}*Y", "Y^2"])
 
 
 # -- critical degree ---------------------------------------------------------
@@ -271,8 +264,6 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
         raise WitnessInsufficientError(
             f"hom keeps the degree-{r} component below dimension 2"
         )
-    from .truncated import triangularize
-
     degree_one = [algebra.basis_element(i) for i in _component_indices(algebra, 1)]
     staircase = triangularize(hom, degree_one)
     finite = [e for e in staircase if not hom.valuation(e).is_infinite]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotZeroDimensionalError, VariableMismatchError
+from .errors import InvalidArgumentError, NotZeroDimensionalError, VariableMismatchError
 from .polycore import Monomial, MonomialOrder, Polynomial
 
 ONE = Fraction(1)
@@ -162,7 +162,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     """
     gens = list(gens)
     if not gens:
-        raise ValueError("need at least one generator (possibly zero)")
+        raise InvalidArgumentError("need at least one generator (possibly zero)")
     variables = gens[0].variables
     for g in gens:
         if g.variables != variables:

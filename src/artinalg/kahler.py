@@ -38,10 +38,10 @@ from .algebra import (
     ArtinAlgebra,
     CoordinateVector,
     Subspace,
-    is_local_over_q,
-    nilradical,
+    _per_algebra,
+    _require_local,
 )
-from .errors import IncompatibleAlgebrasError, NotLocalOverQError
+from .errors import IncompatibleAlgebrasError
 from .groebner import normal_form
 from .polycore import Monomial, Polynomial
 
@@ -170,11 +170,11 @@ class KahlerModule:
         return f"<KahlerModule dim {self.dim} over algebra dim {self.algebra.dim}>"
 
 
+@_per_algebra
 def kahler_module(algebra: ArtinAlgebra) -> KahlerModule:
-    """The differentials of the algebra (cached per algebra)."""
-    if algebra._kahler is None:
-        algebra._kahler = KahlerModule(algebra)
-    return algebra._kahler
+    """The differentials of the algebra, built once per algebra: every
+    call returns the same module, so its forms can be combined."""
+    return KahlerModule(algebra)
 
 
 def d(element: AlgebraElement) -> DifferentialForm:
@@ -204,12 +204,12 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     return target_module.form_from_ambient(out)
 
 
+@_per_algebra
 def h0_de_rham(algebra: ArtinAlgebra) -> Subspace:
     """Kernel of d : A -> Omega_A."""
     km = kahler_module(algebra)
     columns = [km.d(algebra.basis_element(i)).coords for i in range(algebra.dim)]
-    rows = [[columns[i][r] for i in range(algebra.dim)] for r in range(km.dim)]
-    kernel = linalg.kernel_basis(rows, algebra.dim)
+    kernel = linalg.kernel_basis(list(zip(*columns)), algebra.dim)
     return Subspace.from_vectors(kernel, algebra.dim, owner=algebra)
 
 
@@ -219,7 +219,5 @@ def embedding_obstruction(algebra: ArtinAlgebra) -> Subspace:
     A nonzero obstruction certifies that the algebra embeds in no
     principal ideal algebra.
     """
-    if not is_local_over_q(algebra):
-        raise NotLocalOverQError("embedding obstruction needs a local algebra over Q")
-    h0 = h0_de_rham(algebra)
-    return h0.intersect(nilradical(algebra))
+    m = _require_local(algebra, "embedding obstruction needs a local algebra over Q")
+    return h0_de_rham(algebra).intersect(m)

@@ -36,7 +36,7 @@ class Monomial:
     def __init__(self, exps: Iterable[int]):
         exps = tuple(int(e) for e in exps)
         if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+            raise InvalidArgumentError(f"negative exponent in {exps}")
         self.exps = exps
 
     @property
@@ -93,7 +93,7 @@ class MonomialOrder:
 
     def __init__(self, kind: str, variables: Sequence[str]):
         if kind not in (self.GREVLEX, self.LEX):
-            raise ValueError(f"unknown order kind {kind!r}")
+            raise InvalidArgumentError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.variables = tuple(variables)
 
@@ -255,7 +255,7 @@ class Polynomial:
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvalidArgumentError("negative power of a polynomial")
         result = Polynomial.constant(self.variables, 1)
         for _ in range(exponent):
             result = result * self

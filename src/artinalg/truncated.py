@@ -30,12 +30,11 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fraction, _fractions, is_local_over_q
+from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fraction, _fractions, _require_local
 from .errors import (
     DependentInputError,
     IncompatibleAlgebrasError,
     InvalidArgumentError,
-    NotLocalOverQError,
     RelationViolatedError,
 )
 from .groebner import GroebnerBasis, StandardMonomialBasis
@@ -136,7 +135,7 @@ class TruncValue:
 
     def __init__(self, value: int | None):
         if value is not None and value < 0:
-            raise ValueError("finite valuation must be >= 0")
+            raise InvalidArgumentError("finite valuation must be >= 0")
         self.value = value
 
     @classmethod
@@ -410,8 +409,6 @@ def _user_stream(algebra, n_max, pool, seed, user_images):
     An entry that is already a `TruncatedHom` of the algebra at n_max is
     taken as verified and yielded as it is.
     """
-    if not user_images:
-        return
     for image_set in [user_images] if _is_image(user_images[0]) else user_images:
         if isinstance(image_set, TruncatedHom):
             if image_set.source is not algebra or image_set.truncation != n_max:
@@ -459,7 +456,8 @@ def search_homs(
     of homs kept before it.  An empty list is a legitimate outcome.
 
     Raises InvalidArgumentError, before examining any candidate, for
-    n_max < 1, an unknown strategy name or a negative budget.
+    n_max < 1, no strategy, an unknown strategy name, "user" without
+    images or a negative budget.
     """
     strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
     budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
@@ -470,10 +468,13 @@ def search_homs(
         raise InvalidArgumentError(
             f"unknown strategy {unknown[0]!r}; expected one of {', '.join(_STRATEGIES)}"
         )
+    if not strategies:
+        raise InvalidArgumentError(f"no strategy given; expected one of {', '.join(_STRATEGIES)}")
+    if "user" in strategies and not images:
+        raise InvalidArgumentError("the user strategy needs images")
     if any(b < 0 for b in budgets.values()):
         raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
-    if not is_local_over_q(algebra):
-        raise NotLocalOverQError("hom search needs a local algebra over Q")
+    _require_local(algebra, "hom search needs a local algebra over Q")
     pool = tuple(coefficient_pool) if coefficient_pool is not None else DEFAULT_COEFF_POOL
     found: dict = {}
     for strat in strategies:

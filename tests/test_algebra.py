@@ -9,6 +9,8 @@ from artinalg import groebner
 from artinalg.algebra import (
     AlgebraElement,
     AlgebraMap,
+    ArtinAlgebra,
+    Subspace,
     build_algebra,
     embedding_dimension,
     euler_derivation,
@@ -32,9 +34,9 @@ from artinalg.errors import (
     VariableMismatchError,
 )
 from artinalg.berger import q_algebra
-from artinalg.kahler import DifferentialForm, kahler_module
-from artinalg.polycore import Polynomial, parse_polynomial
-from artinalg.truncated import TruncatedPolyAlgebra
+from artinalg.kahler import DifferentialForm, h0_de_rham, kahler_module
+from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
+from artinalg.truncated import TruncatedPolyAlgebra, TruncValue
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import brute_force_nilpotent, random_element, random_zero_dim_gens
 
@@ -202,6 +204,52 @@ class TestEmbeddingDimension:
     def test_field_has_embedding_dimension_zero(self, rationals):
         assert embedding_dimension(rationals) == 0
         assert is_principal_ideal_algebra(rationals)
+
+
+class TestPowerChain:
+    """nilpotency_index and embedding_dimension on freshly built algebras
+    (the session fixtures arrive with their invariants already cached)."""
+
+    @pytest.mark.parametrize(
+        "variables, gens, index, embedding",
+        [
+            (GOLDEN_VARS, GOLDEN_GENS, 5, 2),
+            (("X",), ("X^40",), 39, 1),
+            (("X", "Y", "Z"), ("X^4", "Y^4", "Z^4", "X*Y*Z"), 6, 3),
+            ((), ("0",), 0, 0),
+        ],
+        ids=["golden-ungraded", "X^40", "xyz-fourth", "field"],
+    )
+    def test_index_and_embedding_dimension(self, variables, gens, index, embedding):
+        A = algebra_from_strings(variables, gens)
+        assert nilpotency_index(A) == index
+        assert embedding_dimension(A) == embedding
+
+    def test_not_local(self):
+        A = algebra_from_strings(("X",), ("X^2 - 1",))
+        assert nilpotency_index(A) == 0
+        with pytest.raises(NotLocalOverQError):
+            embedding_dimension(A)
+
+    def test_invariants_are_computed_once(self, monkeypatch):
+        A = algebra_from_strings(GOLDEN_VARS, GOLDEN_GENS)
+        assert nilpotency_index(A) == 5
+        soc = socle(A)
+        calls = []
+        multiply_coords = ArtinAlgebra.multiply_coords
+
+        def counting(self, a, b):
+            calls.append(self)
+            return multiply_coords(self, a, b)
+
+        monkeypatch.setattr(ArtinAlgebra, "multiply_coords", counting)
+        assert embedding_dimension(A) == 2
+        assert socle(A) is soc
+        assert calls == []
+        assert h0_de_rham(A) is h0_de_rham(A)
+        assert kahler_module(A) is kahler_module(A)
+        assert nilradical(A) is nilradical(A)
+        assert grading_info(A) is grading_info(A)
 
 
 class TestGrading:
@@ -456,6 +504,28 @@ class TestUnreadableCoordinates:
         ],
         ids=["from_coeffs-a", "from_coeffs-None", "from_coeffs-1/0", "t_power", "element-None",
              "form-a", "negative-power"],
+    )
+    def test_invalid_argument(self, call, named):
+        with pytest.raises(InvalidArgumentError, match=re.escape(named)):
+            call()
+
+
+class TestLibraryArgumentErrors:
+    """The library's own argument checks raise InvalidArgumentError, a ValueError."""
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: Monomial((1, -2)), "negative exponent"),
+            (lambda: MonomialOrder("bogus", ("X",)), "'bogus'"),
+            (lambda: Polynomial.variable(("X",), "X") ** -1, "negative power"),
+            (lambda: groebner.buchberger([]), "at least one generator"),
+            (lambda: TruncValue(-1), ">= 0"),
+            (lambda: Subspace.from_vectors([[1, 0]], 2).basis_elements(), "no owning algebra"),
+            (lambda: socle(q_algebra(2)).contains([0, 0, 0, 0, "x"]), "'x'"),
+        ],
+        ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "valuation",
+             "subspace-owner", "subspace-coordinate"],
     )
     def test_invalid_argument(self, call, named):
         with pytest.raises(InvalidArgumentError, match=re.escape(named)):

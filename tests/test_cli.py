@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artinalg import berger, cli, truncated
+from artinalg import berger, cli, linalg, truncated
 from artinalg.algebra import AlgebraMap
 from artinalg.cli import main, parse_algebra_file
 from artinalg.errors import AlgebraFileError, ArtinalgError
@@ -150,6 +150,21 @@ class TestArbitraryInput:
 
 
 class TestAnalyze:
+    def test_each_invariant_is_one_kernel(self, capsys, monkeypatch, golden_path):
+        # nilradical, socle and H0_dR are one kernel each, and the
+        # obstruction intersects H0_dR with the nilradical by one more
+        calls = []
+        kernel_basis = linalg.kernel_basis
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return kernel_basis(rows, ncols)
+
+        monkeypatch.setattr(linalg, "kernel_basis", counting)
+        code, report = run_json(capsys, ["analyze", golden_path])
+        assert code == 0 and report["results"]["gorenstein"] is True
+        assert len(calls) == 4
+
     def test_golden_analysis(self, capsys, golden_path):
         code, report = run_json(capsys, ["analyze", golden_path])
         assert code == 0
@@ -304,6 +319,12 @@ class TestBadSearchFlags:
                 ["homs", "--strategy", "user", "--images", ";"],
                 "one image per source variable required",
             ),
+            (["homs", "--strategy", ","], "no strategy given"),
+            (["homs", "--strategy", "user"], "the user strategy needs images"),
+            (["homs", "--strategy", "monomial,user"], "the user strategy needs images"),
+            (["tau", "--r", "2", "--strategy", ","], "no strategy given"),
+            (["tau", "--r", "2", "--strategy", "user"], "the user strategy needs images"),
+            (["critdeg", "--strategy", "user", "--images", ";"], "the user strategy needs images"),
         ],
         ids=[
             "unknown-strategy",
@@ -314,6 +335,12 @@ class TestBadSearchFlags:
             "r-zero",
             "nmax-negative-user-images",
             "empty-user-images",
+            "no-strategy",
+            "user-without-images",
+            "monomial-and-user-without-images",
+            "tau-no-strategy",
+            "tau-user-without-images",
+            "critdeg-user-empty-images",
         ],
     )
     def test_input_error(self, capsys, staircase_path, argv, message):

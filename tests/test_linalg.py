@@ -109,8 +109,9 @@ def test_edge_shapes():
 
 
 def test_products_of_a_maximal_ideal_against_sympy():
-    # the rows `subspace_product` passes to `Subspace.from_vectors` for
-    # M * M in Q[X,Y,Z]/<X,Y,Z>^4: 19 * 19 products of dimension 20
+    # the rows the first step of the power chain (`algebra._power_dims`)
+    # passes to `Subspace.from_vectors` for M * M in Q[X,Y,Z]/<X,Y,Z>^4:
+    # 19 * 19 products of dimension 20
     xyz = ("X", "Y", "Z")
     gens = [
         Polynomial.from_monomial(xyz, Monomial((a, b, 4 - a - b)))

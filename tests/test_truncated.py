@@ -4,6 +4,7 @@ from itertools import islice, product
 
 import pytest
 
+from artinalg import truncated
 from artinalg.algebra import (
     AlgebraMap,
     ArtinAlgebra,
@@ -390,6 +391,31 @@ class TestSearch:
     def test_not_local_rejected(self, split_quadratic):
         with pytest.raises(NotLocalOverQError):
             search_homs(split_quadratic, 4)
+
+    @pytest.mark.parametrize(
+        "strategy, images, message",
+        [
+            ((), None, "no strategy given"),
+            ("user", None, "the user strategy needs images"),
+            ("user", [], "the user strategy needs images"),
+            (("monomial", "user"), None, "the user strategy needs images"),
+        ],
+        ids=["no-strategy", "user-None", "user-empty", "monomial-and-user"],
+    )
+    def test_a_search_that_cannot_run_is_rejected_before_any_candidate(
+        self, monkeypatch, q2, strategy, images, message
+    ):
+        examined = []
+
+        def recording(*args):
+            examined.append(args)
+            yield None
+
+        for name in truncated._STRATEGIES:
+            monkeypatch.setitem(truncated._STRATEGIES, name, recording)
+        with pytest.raises(InvalidArgumentError, match=message):
+            search_homs(q2, 5, strategy=strategy, images=images)
+        assert examined == []
 
     def test_large_nmax_pays_only_for_the_budget(self):
         A = algebra_from_strings(
