@@ -184,11 +184,14 @@ def _split_images(args):
     return [s.strip() for s in args.images.split(";") if s.strip()]
 
 
-def _search(algebra, args, images=None):
-    """search_homs with the command's flags; `images` defaults to --images."""
+def _search(algebra, args, verify_images=False):
+    """search_homs with the command's flags; with `verify_images`, user --images
+    are built into a hom first, so a relation they violate is an input error."""
     strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
-    if images is None:
-        images = _split_images(args)
+    images = _split_images(args)
+    if verify_images and args.images and "user" in strategies:
+        # the user stream takes the verified hom as it is
+        images = [make_hom(algebra, args.nmax, images)]
     return search_homs(
         algebra,
         args.nmax,
@@ -201,12 +204,7 @@ def _search(algebra, args, images=None):
 
 def cmd_homs(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
-    images = _split_images(args)
-    if args.images and "user" in args.strategy:
-        # surface a verification failure of explicit images as an input
-        # error; the user stream takes the verified hom as it is
-        images = [make_hom(algebra, args.nmax, images)]
-    homs = _search(algebra, args, images)
+    homs = _search(algebra, args, verify_images=True)
     elements = {name: algebra.variable_element(name) for name in algebra.variables}
     records = []
     for hom in homs:

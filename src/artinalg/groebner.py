@@ -1,15 +1,19 @@
 """Buchberger-style Groebner basis engine.
 
 Plain Buchberger with the coprime-leading-term discard and normal pair
-selection (smallest lcm first).  That is deliberate: the ideals handled
-here are desk scale and the priority is deterministic, auditable output,
-not asymptotics.  The reduced basis is monic, auto-reduced and sorted by
-leading monomial, so a fixed (generators, order) input always produces an
-identical basis object.
+selection (smallest lcm first): the open pairs sit in a heap keyed by
+(order key of the lcm, i, j), each key computed once.  That is
+deliberate: the ideals handled here are desk scale and the priority is
+deterministic, auditable output, not asymptotics.  A polynomial's leading
+monomial is found once, where it enters a basis; reducers are (leading
+monomial, polynomial) pairs from then on.  The reduced basis is monic,
+auto-reduced and sorted by leading monomial, so a fixed (generators,
+order) input always produces an identical basis object.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,78 +84,77 @@ class GroebnerBasis:
         return f"<GroebnerBasis of {len(self.polys)} polynomials over {self.variables}>"
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lm_f = f.leading_monomial(order)
-    lm_g = g.leading_monomial(order)
-    lcm = lm_f.lcm(lm_g)
-    mf = Polynomial.from_monomial(f.variables, lcm.quotient(lm_f), ONE / f.leading_coefficient(order))
-    mg = Polynomial.from_monomial(g.variables, lcm.quotient(lm_g), ONE / g.leading_coefficient(order))
+def _s_pair(a, b, lcm: Monomial) -> Polynomial:
+    """S-polynomial of two monic basis pairs (leading monomial, polynomial)."""
+    (lm_f, f), (lm_g, g) = a, b
+    mf = Polynomial.from_monomial(f.variables, lcm.quotient(lm_f))
+    mg = Polynomial.from_monomial(g.variables, lcm.quotient(lm_g))
     return mf * f - mg * g
 
 
-def _reduce(p: Polynomial, reducers: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full normal form of p modulo the reducers (every term reduced)."""
-    variables = p.variables
-    key = order.key_function(variables)
-    lead_data = [
-        (g.leading_monomial(order), g.leading_coefficient(order), g) for g in reducers
-    ]
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    a, b = _entry(f, order), _entry(g, order)
+    return _s_pair(a, b, a[0].lcm(b[0]))
+
+
+def _reduce(p: Polynomial, reducers, key) -> Polynomial:
+    """Full normal form of p modulo (leading monomial, polynomial) pairs.
+
+    Every term is reduced, by the first reducer whose leading monomial
+    divides it; `key` is the order's sort key over p's variables.
+    """
     remainder: dict = {}
     work = dict(p.terms)
     while work:
         mono = max(work, key=key)
-        coeff = work.pop(mono)
-        hit = None
-        for lm, lc, g in lead_data:
+        for lm, g in reducers:
             if lm.divides(mono):
-                hit = (lm, lc, g)
                 break
-        if hit is None:
-            remainder[mono] = remainder.get(mono, Fraction(0)) + coeff
+        else:
+            remainder[mono] = work.pop(mono)
             continue
-        lm, lc, g = hit
+        # the leading term cancels exactly, which removes mono from work
         shift = mono.quotient(lm)
-        factor = coeff / lc
+        factor = work[mono] / g.terms[lm]
         for gm, gc in g.terms.items():
             target = gm * shift
-            if target == mono:
-                continue
             s = work.get(target, Fraction(0)) - factor * gc
             if s == 0:
                 work.pop(target, None)
             else:
                 work[target] = s
-    return Polynomial(variables, remainder)
+    return Polynomial(p.variables, remainder)
 
 
-def _interreduce(polys, order: MonomialOrder):
-    """Fully mutually reduced, monic, sorted by leading monomial.
+def _entry(p: Polynomial, order: MonomialOrder):
+    """The basis pair (leading monomial, monic p) of a nonzero polynomial."""
+    lm = p.leading_monomial(order)
+    lc = p.terms[lm]
+    return (lm, p if lc == 1 else p.scale(ONE / lc))
+
+
+def _interreduce(work, order: MonomialOrder, key):
+    """Fully mutually reduced basis pairs, sorted by leading monomial.
 
     Safe on arbitrary generating sets (nothing is dropped until it
     reduces to zero), so it doubles as the Buchberger preprocessing and
-    the final auto-reduction.
+    the final auto-reduction.  Only a polynomial that changed enters
+    again through `_entry`.
     """
-    work = [p for p in polys if not p.is_zero()]
-    if not work:
-        return []
-    key = order.key_function(work[0].variables)
-    work.sort(key=lambda p: key(p.leading_monomial(order)))
+    work = sorted(work, key=lambda entry: key(entry[0]))
     changed = True
     while changed:
         changed = False
-        for i in range(len(work)):
-            p = work[i]
-            if p.is_zero():
+        for i, entry in enumerate(work):
+            if entry is None:
                 continue
-            others = [q for k, q in enumerate(work) if k != i and not q.is_zero()]
-            r = _reduce(p, others, order)
-            if r != p:
-                work[i] = r
+            others = [e for k, e in enumerate(work) if k != i and e is not None]
+            r = _reduce(entry[1], others, key)
+            if r != entry[1]:
+                work[i] = None if r.is_zero() else _entry(r, order)
                 changed = True
-        work = [p for p in work if not p.is_zero()]
-    work = [p.monic(order) for p in work]
-    work.sort(key=lambda p: key(p.leading_monomial(order)))
-    return work
+        work = [entry for entry in work if entry is not None]
+    return sorted(work, key=lambda entry: key(entry[0]))
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -169,39 +172,35 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
             raise VariableMismatchError("generators over different variable lists")
     if order is None:
         order = MonomialOrder.grevlex(variables)
-    else:
-        order.permutation_for(variables)  # validate compatibility
+    key = order.key_function(variables)  # validates compatibility
 
-    basis = _interreduce(gens, order)
-    key = order.key_function(variables)
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-
-    def pair_key(pair):
-        i, j = pair
-        lcm = basis[i].leading_monomial(order).lcm(basis[j].leading_monomial(order))
-        return (key(lcm), i, j)
-
+    basis = _interreduce([_entry(g, order) for g in gens if not g.is_zero()], order, key)
+    # open pairs by (key(lcm), i, j): normal selection, smallest lcm first
+    pairs = [
+        (key(basis[i][0].lcm(basis[j][0])), i, j)
+        for j in range(len(basis))
+        for i in range(j)
+    ]
+    heapq.heapify(pairs)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        lm_i = basis[i].leading_monomial(order)
-        lm_j = basis[j].leading_monomial(order)
+        _, i, j = heapq.heappop(pairs)
+        lm_i, lm_j = basis[i][0], basis[j][0]
         lcm = lm_i.lcm(lm_j)
         if lcm == lm_i * lm_j:
             continue  # coprime leading terms reduce to zero
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce(s, basis, order)
+        r = _reduce(_s_pair(basis[i], basis[j], lcm), basis, key)
         if not r.is_zero():
-            basis.append(r.monic(order))
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    return GroebnerBasis(variables, order, _interreduce(basis, order))
+            basis.append(_entry(r, order))
+            new, lm = len(basis) - 1, basis[-1][0]
+            for k in range(new):
+                heapq.heappush(pairs, (key(basis[k][0].lcm(lm)), k, new))
+    return GroebnerBasis(variables, order, [p for _, p in _interreduce(basis, order, key)])
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """The unique remainder of p supported on standard monomials."""
-    return _reduce(p, gb.polys, gb.order)
+    key = gb.order.key_function(p.variables)
+    return _reduce(p, tuple(zip(gb.leading_monomials, gb.polys)), key)
 
 
 def ideal_membership(p: Polynomial, gb: GroebnerBasis) -> bool:

@@ -14,9 +14,10 @@ stored by its coordinates on the non-pivot slots: a `DifferentialForm` is
 an `algebra.CoordinateVector`, with the same arithmetic as an element.
 
 Standard monomials are closed under division, so the partial derivatives
-of an element lie on the basis already: `partials` reads them off the
-basis coordinates without a normal form, and only the relations are
-normal-formed.
+of an element lie on the basis already, and so do those of a reduced
+basis polynomial (its tail is standard, its leading monomial a minimal
+generator of the leading-term ideal): neither `partials` nor the
+relations need a normal form.
 
 A truncated ring Q[t]/<t^(N+1)> is an ArtinAlgebra like any other, so
 its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
@@ -42,7 +43,6 @@ from .algebra import (
     _require_local,
 )
 from .errors import IncompatibleAlgebrasError
-from .groebner import normal_form
 from .polycore import Monomial, Polynomial
 
 ZERO = Fraction(0)
@@ -93,8 +93,7 @@ class KahlerModule:
         for g in algebra.gb.polys:
             dg = []
             for name in algebra.variables:
-                partial = normal_form(g.partial_derivative(name), algebra.gb)
-                dg.extend(algebra.coords_of_polynomial(partial))
+                dg.extend(algebra.coords_of_polynomial(g.partial_derivative(name)))
             for i in range(algebra.dim):
                 vec = self._times(algebra.basis_element(i).coords, dg)
                 if any(vec):

@@ -398,7 +398,7 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images):
             for k in range(lead + 1, min(n, lead + 4) + 1):
                 if rng.random() < 0.4:
                     coeffs[k] = rng.choice(pool)
-            images.append(AlgebraElement(target, coeffs))
+            images.append(AlgebraElement._raw(target, tuple(coeffs)))
         probe = TruncatedHom(algebra, target, images, verify=False)
         yield probe if probe.violation() is None else None
 
@@ -457,7 +457,8 @@ def search_homs(
 
     Raises InvalidArgumentError, before examining any candidate, for
     n_max < 1, no strategy, an unknown strategy name, "user" without
-    images or a negative budget.
+    images, a negative budget, an unreadable pool entry or an empty pool
+    for "monomial" or "dense-random".
     """
     strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
     budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
@@ -474,8 +475,10 @@ def search_homs(
         raise InvalidArgumentError("the user strategy needs images")
     if any(b < 0 for b in budgets.values()):
         raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
+    pool = DEFAULT_COEFF_POOL if coefficient_pool is None else _fractions(coefficient_pool)
+    if not pool and {"monomial", "dense-random"} & set(strategies):
+        raise InvalidArgumentError("the coefficient pool is empty")
     _require_local(algebra, "hom search needs a local algebra over Q")
-    pool = tuple(coefficient_pool) if coefficient_pool is not None else DEFAULT_COEFF_POOL
     found: dict = {}
     for strat in strategies:
         stream = _STRATEGIES[strat](algebra, n_max, pool, seed, images)

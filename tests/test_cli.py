@@ -325,6 +325,10 @@ class TestBadSearchFlags:
             (["tau", "--r", "2", "--strategy", ","], "no strategy given"),
             (["tau", "--r", "2", "--strategy", "user"], "the user strategy needs images"),
             (["critdeg", "--strategy", "user", "--images", ";"], "the user strategy needs images"),
+            (
+                ["homs", "--nmax", "6", "--strategy", "xuser", "--images", "t^2;t^3"],
+                "unknown strategy 'xuser'; expected one of monomial, dense-random, user",
+            ),
         ],
         ids=[
             "unknown-strategy",
@@ -341,6 +345,7 @@ class TestBadSearchFlags:
             "tau-no-strategy",
             "tau-user-without-images",
             "critdeg-user-empty-images",
+            "unknown-strategy-with-images",
         ],
     )
     def test_input_error(self, capsys, staircase_path, argv, message):

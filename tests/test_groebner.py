@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
+from artinalg import groebner
 from artinalg.errors import NotZeroDimensionalError
 from artinalg.groebner import (
+    GroebnerBasis,
     buchberger,
     ideal_membership,
     normal_form,
+    s_polynomial,
     standard_monomials,
 )
 from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
@@ -181,6 +185,149 @@ class TestStandardMonomials:
         gb = buchberger([Polynomial.zero(())])
         basis = standard_monomials(gb)
         assert len(basis) == 1 and basis[0].is_one()
+
+
+def _power_of_maximal_ideal(k):
+    variables = ("X", "Y", "Z")
+    gens = [
+        Polynomial.from_monomial(variables, Monomial(exps))
+        for exps in iter_product(range(k + 1), repeat=3)
+        if sum(exps) == k
+    ]
+    return variables, gens
+
+
+def _selection_inputs():
+    yield "golden", GOLDEN_VARS, [P(g, GOLDEN_VARS) for g in GOLDEN_GENS]
+    for r in range(1, 6):
+        yield f"Q({r})", XY, [P(f"X^{r + 1}"), P(f"X^{r}*Y"), P("Y^2")]
+    for k in (3, 4):
+        yield (f"<X,Y,Z>^{k}", *_power_of_maximal_ideal(k))
+    for seed in range(6):
+        rng = random.Random(1000 + seed)
+        variables = ("X", "Y", "Z")[: 2 + seed % 2]
+        yield f"random-{seed}", variables, random_zero_dim_gens(rng, variables)
+
+
+def reference_s_pairs(gens, order):
+    """The leading monomials of the S-pairs that a Buchberger loop reduces
+    when it scans every open pair for the least (key(lcm), i, j) and reads
+    each leading term afresh (normal selection, coprime pairs skipped)."""
+    key = order.key_function(gens[0].variables)
+
+    def lead(p):
+        return p.leading_monomial(order)
+
+    def remainder(p, reducers):
+        return normal_form(p, GroebnerBasis(p.variables, order, reducers))
+
+    work = sorted((g for g in gens if not g.is_zero()), key=lambda p: key(lead(p)))
+    changed = True
+    while changed:
+        changed = False
+        for i, p in enumerate(work):
+            if p.is_zero():
+                continue
+            r = remainder(p, [q for k, q in enumerate(work) if k != i and not q.is_zero()])
+            if r != p:
+                work[i] = r
+                changed = True
+        work = [p for p in work if not p.is_zero()]
+    basis = sorted((p.monic(order) for p in work), key=lambda p: key(lead(p)))
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+
+    def pair_key(pair):
+        i, j = pair
+        return (key(lead(basis[i]).lcm(lead(basis[j]))), i, j)
+
+    reduced = []
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.remove((i, j))
+        lm_i, lm_j = lead(basis[i]), lead(basis[j])
+        if lm_i.lcm(lm_j) == lm_i * lm_j:
+            continue
+        reduced.append((lm_i, lm_j))
+        r = remainder(s_polynomial(basis[i], basis[j], order), basis)
+        if not r.is_zero():
+            basis.append(r.monic(order))
+            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return reduced
+
+
+def _recorded_s_pairs(monkeypatch, gens, order):
+    """The leading monomials of the S-pairs `buchberger` reduces."""
+    reduced = []
+    s_pair = groebner._s_pair
+
+    def recording(a, b, lcm):
+        reduced.append((a[0], b[0]))
+        return s_pair(a, b, lcm)
+
+    monkeypatch.setattr(groebner, "_s_pair", recording)
+    gb = buchberger(gens, order)
+    monkeypatch.undo()
+    return reduced, gb
+
+
+def _count_leading_monomials(monkeypatch):
+    calls = []
+    leading_monomial = Polynomial.leading_monomial
+
+    def counted(self, order):
+        calls.append(self)
+        return leading_monomial(self, order)
+
+    monkeypatch.setattr(Polynomial, "leading_monomial", counted)
+    return calls
+
+
+class TestPairSelection:
+    @pytest.mark.parametrize("kind", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
+    @pytest.mark.parametrize(
+        "variables, gens",
+        [pytest.param(v, g, id=name) for name, v, g in _selection_inputs()],
+    )
+    def test_pair_heap_keeps_normal_selection(self, monkeypatch, variables, gens, kind):
+        order = MonomialOrder(kind, variables)
+        reduced, _ = _recorded_s_pairs(monkeypatch, gens, order)
+        assert reduced == reference_s_pairs(gens, order)
+
+    @pytest.mark.parametrize(
+        "name, count", [("golden", 5), ("<X,Y,Z>^3", 36), ("<X,Y,Z>^4", 93)]
+    )
+    def test_s_polynomial_counts(self, monkeypatch, name, count):
+        [(variables, gens)] = [(v, g) for n, v, g in _selection_inputs() if n == name]
+        reduced, _ = _recorded_s_pairs(monkeypatch, gens, MonomialOrder.grevlex(variables))
+        assert len(reduced) == count
+
+    def test_leading_terms_are_found_once_per_basis_entry(self, monkeypatch):
+        # 168,838 leading_monomial calls when every reducer, pair key and
+        # S-polynomial read its leading terms afresh
+        variables, gens = _power_of_maximal_ideal(6)
+        reduced, gb = _recorded_s_pairs(monkeypatch, gens, None)
+        assert len(reduced) == 360 and len(gb) == 28
+        calls = _count_leading_monomials(monkeypatch)
+        buchberger(gens)
+        assert len(calls) <= 280
+
+    def test_normal_form_reads_the_stored_leading_monomials(self, monkeypatch, golden_gb):
+        p = P("X^5 + 3*X^2*Y^3 - Y", GOLDEN_VARS)
+        expected = normal_form(p, golden_gb)
+        calls = _count_leading_monomials(monkeypatch)
+        assert normal_form(p, golden_gb) == expected
+        assert calls == []
+
+    def test_non_monic_basis_reduces_like_its_monic_twin(self, golden_gb):
+        scaled = GroebnerBasis(
+            golden_gb.variables,
+            golden_gb.order,
+            [g.scale(c) for g, c in zip(golden_gb.polys, (3, -2, Fraction(1, 7), 5))],
+        )
+        rng = random.Random(5)
+        for _ in range(20):
+            p = random_polynomial(rng, GOLDEN_VARS, max_degree=6, max_terms=5)
+            assert normal_form(p, scaled) == normal_form(p, golden_gb)
 
 
 class TestMacaulayAgreement:

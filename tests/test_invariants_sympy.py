@@ -1,0 +1,127 @@
+"""Differential test of the power chain of M and the socle against sympy.
+
+The oracle shares no code with artinalg: it is built from
+`sympy.groebner`, `sympy.reduced` and `sympy.Matrix` only.  For a local
+algebra A = Q[x]/I with residues lambda_i of the x_i, the maximal ideal
+M is generated by the x_i - lambda_i, so
+
+- dim A/M^k is the number of standard monomials of I + M^k, which gives
+  every dim M^k, the nilpotency index (the last k with M^k nonzero) and
+  the embedding dimension dim M/M^2;
+- the socle is the common kernel of the multiplication matrices of the
+  x_i - lambda_i, built from remainders modulo a Groebner basis of I.
+"""
+
+from itertools import combinations_with_replacement, product
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from artinalg.algebra import (
+    _power_dims,
+    build_algebra,
+    embedding_dimension,
+    is_gorenstein,
+    nilpotency_index,
+    socle,
+)
+from conftest import GOLDEN_GENS, GOLDEN_VARS
+
+
+def _power_of_maximal_ideal(variables, k):
+    return [
+        "*".join(f"{v}^{e}" for v, e in zip(variables, exps) if e)
+        for exps in product(range(k + 1), repeat=len(variables))
+        if sum(exps) == k
+    ]
+
+
+INPUTS = [
+    ("golden", GOLDEN_VARS, list(GOLDEN_GENS)),
+    *((f"Q({r})", ("X", "Y"), [f"X^{r + 1}", f"X^{r}*Y", "Y^2"]) for r in range(1, 6)),
+    ("<X,Y>^4", ("X", "Y"), _power_of_maximal_ideal(("X", "Y"), 4)),
+    ("<X,Y,Z>^3", ("X", "Y", "Z"), _power_of_maximal_ideal(("X", "Y", "Z"), 3)),
+    ("X^12", ("X",), ["X^12"]),
+    ("xyz_fourth", ("X", "Y", "Z"), ["X^4", "Y^4", "Z^4", "X*Y*Z"]),
+    ("(X-1)^3,Y^2", ("X", "Y"), ["X^3 - 3*X^2 + 3*X - 1", "Y^2"]),
+]
+
+
+class SympyLocalAlgebra:
+    """Q[x]/I computed by sympy alone, for a zero-dimensional local I."""
+
+    def __init__(self, variables, gens):
+        self.symbols = sympy.symbols(variables)
+        self.gens = [sympy.sympify(g.replace("^", "**"), dict(zip(variables, self.symbols)))
+                     for g in gens]
+        self.basis_gb = sympy.groebner(self.gens, *self.symbols, order="grevlex")
+        self.basis = self._standard_monomials(self.basis_gb)
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.dim = len(self.basis)
+        # multiplication by x_i has the single eigenvalue lambda_i
+        self.residues = [self._times(x).trace() / self.dim for x in self.symbols]
+
+    def _standard_monomials(self, gb):
+        leads = [sympy.Poly(g, *self.symbols).monoms(order="grevlex")[0] for g in gb.exprs]
+        nvars = len(self.symbols)
+        found, frontier = set(), [(0,) * nvars]
+        while frontier:
+            mono = frontier.pop()
+            if mono in found or any(all(a <= b for a, b in zip(lead, mono)) for lead in leads):
+                continue
+            found.add(mono)
+            for i in range(nvars):
+                frontier.append(tuple(e + (k == i) for k, e in enumerate(mono)))
+        return sorted(found)
+
+    def _coords(self, expr):
+        _, remainder = sympy.reduced(expr, self.basis_gb.exprs, *self.symbols, order="grevlex")
+        coords = [0] * self.dim
+        for mono, c in sympy.Poly(remainder, *self.symbols).terms():
+            coords[self.index[mono]] = c
+        return coords
+
+    def _times(self, factor):
+        """The matrix of multiplication by `factor`, columns in basis order."""
+        columns = [
+            self._coords(factor * sympy.Mul(*(x**e for x, e in zip(self.symbols, mono))))
+            for mono in self.basis
+        ]
+        return sympy.Matrix(columns).T
+
+    def maximal_ideal_generators(self):
+        return [x - lam for x, lam in zip(self.symbols, self.residues)]
+
+    def power_dims(self):
+        """dim M^k for k = 1, 2, ... while M^k is nonzero."""
+        dims = []
+        for k in range(1, self.dim + 1):
+            power = [sympy.Mul(*c) for c in
+                     combinations_with_replacement(self.maximal_ideal_generators(), k)]
+            gb = sympy.groebner(self.gens + power, *self.symbols, order="grevlex")
+            dim = self.dim - len(self._standard_monomials(gb))
+            if dim == 0:
+                break
+            dims.append(dim)
+        return dims
+
+    def socle_dim(self):
+        stacked = sympy.Matrix.vstack(*(self._times(g) for g in self.maximal_ideal_generators()))
+        return self.dim - stacked.rank()
+
+
+@pytest.mark.parametrize(
+    "variables, gens", [pytest.param(v, g, id=name) for name, v, g in INPUTS]
+)
+def test_power_chain_and_socle_agree_with_sympy(variables, gens):
+    A = build_algebra(variables, gens)
+    oracle = SympyLocalAlgebra(variables, gens)
+    assert A.dim == oracle.dim
+    dims = oracle.power_dims()
+    assert list(_power_dims(A)) == dims
+    assert nilpotency_index(A) == len(dims)
+    assert embedding_dimension(A) == dims[0] - (dims[1] if len(dims) > 1 else 0)
+    socle_dim = oracle.socle_dim()
+    assert socle(A).dim == socle_dim
+    assert is_gorenstein(A) == (socle_dim == 1)

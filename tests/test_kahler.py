@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from artinalg import groebner, linalg
-from artinalg.algebra import AlgebraElement, AlgebraMap, nilradical, quotient_algebra
+from artinalg.algebra import (
+    AlgebraElement,
+    AlgebraMap,
+    build_algebra,
+    nilradical,
+    quotient_algebra,
+)
 from artinalg.berger import q_algebra, surjection_to_q
 from artinalg.errors import IncompatibleAlgebrasError, NotLocalOverQError
 from artinalg.kahler import (
@@ -17,7 +23,7 @@ from artinalg.kahler import (
     kahler_module,
     pushforward,
 )
-from artinalg.polycore import Polynomial, parse_polynomial
+from artinalg.polycore import MonomialOrder, Polynomial, parse_polynomial
 from artinalg.truncated import TruncatedPolyAlgebra, make_hom, search_homs
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import random_element, random_polynomial
@@ -57,6 +63,27 @@ class TestModuleConstruction:
             alt = _module_from_generators(A, A.gens)
             assert alt == km.dim
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_algebra(GOLDEN_VARS, list(GOLDEN_GENS)),
+            lambda: build_algebra(GOLDEN_VARS, list(GOLDEN_GENS), MonomialOrder.lex(GOLDEN_VARS)),
+            lambda: q_algebra(3),
+            lambda: build_algebra(("X", "Y"), ["X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4"]),
+            lambda: TruncatedPolyAlgebra(6),
+        ],
+        ids=["golden-grevlex", "golden-lex", "Q(3)", "<X,Y>^4", "t^7"],
+    )
+    def test_relations_need_no_normal_form(self, monkeypatch, make):
+        # partials of a reduced basis already lie on the standard monomials
+        A = make()
+        A.products  # the structure constants normal-form; the relations do not
+        calls = _count_normal_forms(monkeypatch)
+        km = KahlerModule(A)
+        assert calls == []
+        monkeypatch.undo()
+        assert (km.rel_rows, km.rel_pivots) == linalg.rref(_relation_rows(A, A.gb.polys))
+
     def test_relation_reduction_is_idempotent(self, q2):
         km = kahler_module(q2)
         rng = random.Random(11)
@@ -69,27 +96,29 @@ class TestModuleConstruction:
             assert km.reduce_ambient(once) == once
 
 
-def _module_from_generators(A, gens):
-    """Relation-span dimension when the raw generators replace the basis."""
-    from artinalg.groebner import normal_form
-
+def _relation_rows(A, gens):
+    """The nonzero vectors b * dg over the generators, each partial normal-formed."""
     dim = A.dim
-    nvars = len(A.variables)
     rows = []
     for g in gens:
         partials = [
-            A.coords_of_polynomial(normal_form(g.partial_derivative(v), A.gb))
+            A.coords_of_polynomial(groebner.normal_form(g.partial_derivative(v), A.gb))
             for v in A.variables
         ]
         for i in range(dim):
             unit = [ZERO] * dim
             unit[i] = Fraction(1)
             vec = []
-            for j in range(nvars):
-                vec.extend(A.multiply_coords(unit, partials[j]))
+            for partial in partials:
+                vec.extend(A.multiply_coords(unit, partial))
             if any(c != 0 for c in vec):
                 rows.append(vec)
-    return nvars * dim - linalg.rank(rows)
+    return rows
+
+
+def _module_from_generators(A, gens):
+    """Relation-span dimension when the raw generators replace the basis."""
+    return len(A.variables) * A.dim - linalg.rank(_relation_rows(A, gens))
 
 
 class TestUniversalDerivation:

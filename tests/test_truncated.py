@@ -393,17 +393,30 @@ class TestSearch:
             search_homs(split_quadratic, 4)
 
     @pytest.mark.parametrize(
-        "strategy, images, message",
+        "strategy, images, pool, message",
         [
-            ((), None, "no strategy given"),
-            ("user", None, "the user strategy needs images"),
-            ("user", [], "the user strategy needs images"),
-            (("monomial", "user"), None, "the user strategy needs images"),
+            ((), None, None, "no strategy given"),
+            ("user", None, None, "the user strategy needs images"),
+            ("user", [], None, "the user strategy needs images"),
+            (("monomial", "user"), None, None, "the user strategy needs images"),
+            ("dense-random", None, [], "the coefficient pool is empty"),
+            (("user", "monomial"), ["t^2", "t^3"], (), "the coefficient pool is empty"),
+            ("monomial", None, [1, "x"], "cannot read the coordinate 'x'"),
+            ("user", ["t^2", "t^3"], [None], "cannot read the coordinate None"),
         ],
-        ids=["no-strategy", "user-None", "user-empty", "monomial-and-user"],
+        ids=[
+            "no-strategy",
+            "user-None",
+            "user-empty",
+            "monomial-and-user",
+            "dense-random-empty-pool",
+            "monomial-empty-pool",
+            "unreadable-pool-entry",
+            "unreadable-pool-entry-user",
+        ],
     )
     def test_a_search_that_cannot_run_is_rejected_before_any_candidate(
-        self, monkeypatch, q2, strategy, images, message
+        self, monkeypatch, q2, strategy, images, pool, message
     ):
         examined = []
 
@@ -414,8 +427,14 @@ class TestSearch:
         for name in truncated._STRATEGIES:
             monkeypatch.setitem(truncated._STRATEGIES, name, recording)
         with pytest.raises(InvalidArgumentError, match=message):
-            search_homs(q2, 5, strategy=strategy, images=images)
+            search_homs(q2, 5, strategy=strategy, images=images, coefficient_pool=pool)
         assert examined == []
+
+    def test_pool_entries_are_read_as_rationals(self, q2):
+        for strategy in ("monomial", "dense-random"):
+            as_text = search_homs(q2, 5, strategy, 60, coefficient_pool=["1", "-1/2"])
+            exact = search_homs(q2, 5, strategy, 60, coefficient_pool=[1, Fraction(-1, 2)])
+            assert [h.key() for h in as_text] == [h.key() for h in exact] != []
 
     def test_large_nmax_pays_only_for_the_budget(self):
         A = algebra_from_strings(
