@@ -11,7 +11,8 @@ their own way, by convolution, and derive `products` only if read.
 `AlgebraMap` is the one homomorphism type, with the only verification,
 evaluation and composition code.  Its target is an ArtinAlgebra: a
 quotient (surjections) or Q[t]/<t^(N+1)> (the subclass
-`truncated.TruncatedHom`).
+`truncated.TruncatedHom`).  A map evaluates through one memo of monomial
+images and sums the images of a polynomial or an element in one list.
 
 The nilradical is computed as the radical of the trace bilinear form
 (a, b) -> trace(multiplication by ab), which equals the set of nilpotents
@@ -399,10 +400,11 @@ class AlgebraMap:
     (`truncated.TruncatedPolyAlgebra`).  Every image must lie in the
     target.  With `verify` (the default) construction
     checks that every ideal generator of the source evaluates to zero.
-    Image powers and basis images are computed once, on first use.
+    Monomial images are kept in one memo (see `evaluate_monomial`), and
+    `evaluate_polynomial`, `violation` and `apply` sum them in one list.
     """
 
-    __slots__ = ("source", "target", "images", "_basis_images", "_power_cache")
+    __slots__ = ("source", "target", "images", "_monomial_images")
 
     def __init__(self, source: ArtinAlgebra, target, images, verify: bool = True):
         if len(images) != len(source.variables):
@@ -412,8 +414,7 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.images = tuple(images)
-        self._basis_images = None
-        self._power_cache: dict = {}
+        self._monomial_images: dict = {}
         if verify:
             violation = self.violation()
             if violation is not None:
@@ -431,48 +432,44 @@ class AlgebraMap:
                 return g, residual
         return None
 
-    def _image_power(self, var_index: int, exponent: int):
-        key = (var_index, exponent)
-        cached = self._power_cache.get(key)
-        if cached is None:
-            cached = self.images[var_index] ** exponent
-            self._power_cache[key] = cached
-        return cached
-
     def evaluate_monomial(self, exps: Sequence[int]):
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                power = self._image_power(i, e)
-                term = power if term is None else term * power
-        return self.target.one() if term is None else term
+        """The image of x^exps: strip factors of the last variable with a positive exponent
+        down to a memo entry or a variable, then multiply back up, keeping each image."""
+        memo = self._monomial_images
+        exps, stripped = tuple(exps), []
+        if not any(exps):
+            return self.target.one()
+        while exps not in memo and sum(exps) > 1:
+            j = max(j for j, e in enumerate(exps) if e)
+            stripped.append(j)
+            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+        image = memo[exps] if exps in memo else self.images[exps.index(1)]
+        for j in reversed(stripped):
+            exps = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            image = memo[exps] = image * self.images[j]
+        return image
+
+    def _combine(self, terms):
+        """The sum of c * image(x^exps) over the (exps, c) of `terms`, in one list."""
+        out = [ZERO] * self.target.dim
+        for exps, c in terms:
+            coords = self.evaluate_monomial(exps).coords
+            for k in compress(range(len(coords)), coords):
+                out[k] += c * coords[k]
+        return AlgebraElement._raw(self.target, tuple(out))
 
     def evaluate_polynomial(self, p: Polynomial):
-        total = self.target.zero()
-        for mono, c in p.terms.items():
-            image = self.evaluate_monomial(mono.exps)
-            if not image.is_zero():
-                total = total + image.scale(c)
-        return total
+        return self._combine((mono.exps, c) for mono, c in p.terms.items())
 
     def basis_image(self, i: int):
         """The image of the i-th standard monomial of the source."""
-        if self._basis_images is None:
-            self._basis_images = [None] * self.source.dim
-        cached = self._basis_images[i]
-        if cached is None:
-            cached = self.evaluate_monomial(self.source.basis[i].exps)
-            self._basis_images[i] = cached
-        return cached
+        return self.evaluate_monomial(self.source.basis[i].exps)
 
     def apply(self, element: AlgebraElement):
         if element.algebra is not self.source:
             raise IncompatibleAlgebrasError("element not in the source algebra")
-        total = self.target.zero()
-        for i, c in enumerate(element.coords):
-            if c:
-                total = total + self.basis_image(i).scale(c)
-        return total
+        basis = self.source.basis
+        return self._combine((basis[i].exps, c) for i, c in enumerate(element.coords) if c)
 
     def then(self, other: "AlgebraMap") -> "AlgebraMap":
         """Composite self followed by other, of the same class as other."""

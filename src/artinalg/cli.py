@@ -52,7 +52,7 @@ from .berger import (
 from .errors import AlgebraFileError, ArtinalgError
 from .kahler import embedding_obstruction, h0_de_rham, kahler_module
 from .polycore import check_variables, parse_polynomial
-from .truncated import make_hom, search_homs
+from .truncated import TruncValue, _search_settings, make_hom, search_homs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -186,11 +186,13 @@ def _split_images(args):
 
 def _search(algebra, args, verify_images=False):
     """search_homs with the command's flags; with `verify_images`, user --images
-    are built into a hom first, so a relation they violate is an input error."""
+    are built into a hom once the flags are checked, so a relation they violate
+    is an input error."""
     strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
     images = _split_images(args)
     if verify_images and args.images and "user" in strategies:
-        # the user stream takes the verified hom as it is
+        # the flags first; the user stream then takes the verified hom as it is
+        _search_settings(args.nmax, strategies, args.budget, args.images)
         images = [make_hom(algebra, args.nmax, images)]
     return search_homs(
         algebra,
@@ -205,10 +207,11 @@ def _search(algebra, args, verify_images=False):
 def cmd_homs(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
     homs = _search(algebra, args, verify_images=True)
-    elements = {name: algebra.variable_element(name) for name in algebra.variables}
     records = []
     for hom in homs:
-        valuations = {name: str(hom.valuation(x)) for name, x in elements.items()}
+        # a verified hom sends each variable to its image
+        valuations = {name: str(TruncValue(hom.target.t_order(img)))
+                      for name, img in zip(algebra.variables, hom.images)}
         records.append({**hom.to_record(), "variable_valuations": valuations})
     results = {"count": len(homs), "homs": records}
     return _report("homs", args, variables, gens, results), EXIT_OK
@@ -224,12 +227,7 @@ def cmd_critdeg(args) -> tuple[dict, int]:
         "witnesses_reverified": ok,
         "homs_found": len(homs),
     }
-    code = EXIT_OK
-    if not homs:
-        code = EXIT_EXHAUSTED
-    if not ok:
-        code = EXIT_VIOLATION
-    return _report("critdeg", args, variables, gens, results), code
+    return _report("critdeg", args, variables, gens, results), _exit_code(homs, ok)
 
 
 def cmd_tau(args) -> tuple[dict, int]:
@@ -270,12 +268,8 @@ def cmd_tau(args) -> tuple[dict, int]:
         **element_part,
         **report.to_record(include_homs=args.include_homs),
     }
-    code = EXIT_OK
-    if not homs:
-        code = EXIT_EXHAUSTED
-    elif not report.all_killed or element_violations:
-        code = EXIT_VIOLATION
-    return _report("tau", args, variables, gens, results), code
+    ok = report.all_killed and not element_violations
+    return _report("tau", args, variables, gens, results), _exit_code(homs, ok)
 
 
 def cmd_socle_kill(args) -> tuple[dict, int]:
@@ -287,15 +281,16 @@ def cmd_socle_kill(args) -> tuple[dict, int]:
         "socle_kill": kill.to_record(include_homs=args.include_homs),
         "socle_differential": differential.to_record(include_homs=False),
     }
-    code = EXIT_OK
-    if not homs:
-        code = EXIT_EXHAUSTED
-    elif not (kill.all_killed and differential.all_killed):
-        code = EXIT_VIOLATION
-    return _report("socle-kill", args, variables, gens, results), code
+    ok = kill.all_killed and differential.all_killed
+    return _report("socle-kill", args, variables, gens, results), _exit_code(homs, ok)
 
 
 # -- report plumbing -------------------------------------------------------------
+
+
+def _exit_code(homs, ok: bool) -> int:
+    """3 when a checked claim failed, else 4 when the search kept no homs, else 0."""
+    return EXIT_VIOLATION if not ok else EXIT_OK if homs else EXIT_EXHAUSTED
 
 
 def _report(command, args, variables, gens, results) -> dict:

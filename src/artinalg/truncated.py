@@ -217,7 +217,8 @@ class TruncatedHom(AlgebraMap):
 
     def evaluate_monomial(self, exps: Sequence[int]):
         """The image of a monomial; zero without multiplying when the t-orders
-        of its factors sum past N (see `image_orders`)."""
+        of its factors sum past N (see `image_orders`), else the memo's image:
+        the walk multiplies only divisors, whose orders sum to at most N too."""
         orders = self._orders or self.image_orders()
         if sum(e * o for e, o in zip(exps, orders)) > self.truncation:
             return self.target.zero()
@@ -429,6 +430,29 @@ _STRATEGIES = {
 }
 
 
+def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
+    """A search's strategies, budgets and pool; raises as `search_homs` documents."""
+    strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
+    budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
+    unknown = [s for s in strategies if s not in _STRATEGIES]
+    if n_max < 1:
+        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown strategy {unknown[0]!r}; expected one of {', '.join(_STRATEGIES)}"
+        )
+    if not strategies:
+        raise InvalidArgumentError(f"no strategy given; expected one of {', '.join(_STRATEGIES)}")
+    if "user" in strategies and not images:
+        raise InvalidArgumentError("the user strategy needs images")
+    if any(b < 0 for b in budgets.values()):
+        raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
+    pool = DEFAULT_COEFF_POOL if coefficient_pool is None else _fractions(coefficient_pool)
+    if not pool and {"monomial", "dense-random"} & set(strategies):
+        raise InvalidArgumentError("the coefficient pool is empty")
+    return strategies, budgets, pool
+
+
 def search_homs(
     algebra: ArtinAlgebra,
     n_max: int,
@@ -460,24 +484,7 @@ def search_homs(
     images, a negative budget, an unreadable pool entry or an empty pool
     for "monomial" or "dense-random".
     """
-    strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
-    budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
-    unknown = [s for s in strategies if s not in _STRATEGIES]
-    if n_max < 1:
-        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
-    if unknown:
-        raise InvalidArgumentError(
-            f"unknown strategy {unknown[0]!r}; expected one of {', '.join(_STRATEGIES)}"
-        )
-    if not strategies:
-        raise InvalidArgumentError(f"no strategy given; expected one of {', '.join(_STRATEGIES)}")
-    if "user" in strategies and not images:
-        raise InvalidArgumentError("the user strategy needs images")
-    if any(b < 0 for b in budgets.values()):
-        raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
-    pool = DEFAULT_COEFF_POOL if coefficient_pool is None else _fractions(coefficient_pool)
-    if not pool and {"monomial", "dense-random"} & set(strategies):
-        raise InvalidArgumentError("the coefficient pool is empty")
+    strategies, budgets, pool = _search_settings(n_max, strategy, budget, images, coefficient_pool)
     _require_local(algebra, "hom search needs a local algebra over Q")
     found: dict = {}
     for strat in strategies:

@@ -313,7 +313,7 @@ class TestBadSearchFlags:
             (["tau", "--r", "0"], "r must be >= 1, got 0"),
             (
                 ["homs", "--nmax", "-1", "--strategy", "user", "--images", "t;t"],
-                "truncation must be >= 0, got -1",
+                "n_max must be >= 1, got -1",
             ),
             (
                 ["homs", "--strategy", "user", "--images", ";"],
@@ -328,6 +328,15 @@ class TestBadSearchFlags:
             (
                 ["homs", "--nmax", "6", "--strategy", "xuser", "--images", "t^2;t^3"],
                 "unknown strategy 'xuser'; expected one of monomial, dense-random, user",
+            ),
+            (
+                ["homs", "--nmax", "6", "--strategy", "xuser,user", "--images", "t^2;t^3"],
+                "unknown strategy 'xuser'; expected one of monomial, dense-random, user",
+            ),
+            (
+                ["homs", "--nmax", "6", "--strategy", "user,dense-random", "--budget", "-1",
+                 "--images", "t^2;t^3"],
+                "budget must be >= 0, got -1",
             ),
         ],
         ids=[
@@ -346,6 +355,8 @@ class TestBadSearchFlags:
             "tau-user-without-images",
             "critdeg-user-empty-images",
             "unknown-strategy-with-images",
+            "unknown-strategy-beside-user-with-violating-images",
+            "negative-budget-with-violating-user-images",
         ],
     )
     def test_input_error(self, capsys, staircase_path, argv, message):
