@@ -55,8 +55,14 @@ DEFAULT_COEFF_POOL = (
 )
 
 
+def _require_integer(value, name: str) -> None:
+    """Raise InvalidArgumentError unless `value` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
 class TruncatedPolyAlgebra(ArtinAlgebra):
-    """The ring Q[t]/<t^(N+1)> for a fixed truncation N >= 0.
+    """The ring Q[t]/<t^(N+1)> for a fixed int truncation N >= 0.
 
     An ArtinAlgebra over ("t",) with Groebner basis {t^(N+1)} and basis
     1, t, ..., t^N, so coordinates are the coefficients of t^k.  There is
@@ -71,6 +77,7 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
     _rings: dict = {}
 
     def __new__(cls, truncation: int):
+        _require_integer(truncation, "truncation")
         ring = cls._rings.get(truncation)
         if ring is None:
             if truncation < 0:
@@ -258,8 +265,9 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
 
     `images` entries may be elements of the target ring, coefficient
     sequences, polynomials in t, or strings like "t^2".  Raises
-    InvalidArgumentError naming an entry that is none of these, and
-    RelationViolatedError naming the first violated generator.
+    InvalidArgumentError for a truncation that is not an int >= 0 or
+    naming an entry that is none of these, and RelationViolatedError
+    naming the first violated generator.
     """
     target = TruncatedPolyAlgebra(truncation)
     normalized = []
@@ -322,26 +330,6 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
 # deduplicates and numbers what the streams yield.
 
 
-def _monomial_residual_order(gen: Polynomial, exponents, coefficients) -> int | None:
-    """Exact t-order of gen evaluated at X_i -> c_i t^(e_i); None if zero."""
-    acc: dict[int, Fraction] = {}
-    for mono, c in gen.terms.items():
-        deg = 0
-        val = c
-        for e, exp_profile, coeff in zip(mono.exps, exponents, coefficients):
-            if e:
-                deg += e * exp_profile
-                val *= coeff ** e
-        s = acc.get(deg, ZERO) + val
-        if not s:
-            acc.pop(deg, None)
-        else:
-            acc[deg] = s
-    if not acc:
-        return None
-    return min(acc)
-
-
 def _profiles_of_degree(total: int, nvars: int, n_max: int):
     """Profiles in {1..n_max}^nvars summing to `total`, lexicographically."""
     if nvars == 0:
@@ -364,16 +352,58 @@ def _monomial_profiles(nvars: int, n_max: int):
         yield from _profiles_of_degree(total, nvars, n_max)
 
 
+def _degree_groups(gens, profile, n_max: int, sure_singles: bool):
+    """The degree groups of the generators at X_i -> c_i t^(e_i), e = profile.
+
+    A term a*X^α of a generator maps to a*c^α*t^(e·α), so its t-degree
+    e·α does not depend on the coefficients c; the terms of one generator
+    with one degree form a group, whose image is its sum times t^degree.
+    A group of one term is nonzero for every c when `sure_singles` (the
+    pool has no zero).  Returns (bound, colliding): `bound` is the least
+    degree of such a group, capped at n_max + 1, and `colliding` lists
+    the other groups of degree below `bound` as
+    (degree, [(exponents, a), ...]), lowest degree first.  A group of
+    degree above n_max is left out: like a zero group it allows N = n_max.
+    """
+    bound = n_max + 1
+    colliding = []
+    for g in gens:
+        by_degree: dict = {}
+        for mono, a in g.terms.items():
+            d = sum(e * p for e, p in zip(mono.exps, profile))
+            if d < bound:
+                by_degree.setdefault(d, []).append((mono.exps, a))
+        for d, terms in by_degree.items():
+            if sure_singles and len(terms) == 1:
+                bound = min(bound, d)
+            else:
+                colliding.append((d, terms))
+    colliding = [group for group in colliding if group[0] < bound]
+    return bound, sorted(colliding, key=lambda group: group[0])
+
+
+def _group_is_nonzero(terms, coeffs) -> bool:
+    """Whether a degree group's terms a*c^α sum to a nonzero rational."""
+    return sum(a * math.prod(c**e for c, e in zip(coeffs, exps) if e) for exps, a in terms) != 0
+
+
 def _monomial_stream(algebra, n_max, pool, seed, user_images):
-    """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target."""
+    """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target.
+
+    The candidate's N is one less than the least degree, at most n_max,
+    of a nonzero degree group of some generator (`_degree_groups`), and
+    n_max if there is none.  The groups, and so the integer bound that the
+    single-term groups set, are computed once per profile; only groups in
+    which terms share a degree below that bound, and so may cancel, are
+    evaluated with Fractions for each coefficient tuple, lowest degree
+    first.
+    """
     nvars = len(algebra.variables)
+    sure_singles = all(pool)
     for profile in _monomial_profiles(nvars, n_max):
+        bound, colliding = _degree_groups(algebra.gens, profile, n_max, sure_singles)
         for coeffs in iter_product(pool, repeat=nvars):
-            orders = [
-                _monomial_residual_order(g, profile, coeffs) for g in algebra.gens
-            ]
-            finite = [o for o in orders if o is not None]
-            n = n_max if not finite else min(min(finite) - 1, n_max)
+            n = next((d for d, terms in colliding if _group_is_nonzero(terms, coeffs)), bound) - 1
             if n < 1:
                 yield None
                 continue
@@ -435,6 +465,9 @@ def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
     strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
     budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
     unknown = [s for s in strategies if s not in _STRATEGIES]
+    _require_integer(n_max, "n_max")
+    for b in budgets.values():
+        _require_integer(b, "budget")
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     if unknown:
@@ -466,7 +499,9 @@ def search_homs(
 
     Strategies: "monomial" enumerates X_i -> c_i t^(e_i) profiles
     (coefficients from a fixed rational pool) and pairs each with the
-    largest truncation it verifies at; "dense-random" rejection-samples
+    largest truncation it verifies at, read from the generators' terms
+    grouped by t-degree once per profile (Fractions only for groups whose
+    terms share a degree); "dense-random" rejection-samples
     seeded random images of positive order; "user" verifies explicitly
     supplied images and keeps the valid ones: `images` is one image set
     (the images of `make_hom`; a sequence of rationals is one image) or
@@ -480,9 +515,10 @@ def search_homs(
     of homs kept before it.  An empty list is a legitimate outcome.
 
     Raises InvalidArgumentError, before examining any candidate, for
-    n_max < 1, no strategy, an unknown strategy name, "user" without
-    images, a negative budget, an unreadable pool entry or an empty pool
-    for "monomial" or "dense-random".
+    an n_max or a budget that is not an int, n_max < 1, no strategy, an
+    unknown strategy name, "user" without images, a negative budget, an
+    unreadable pool entry or an empty pool for "monomial" or
+    "dense-random".
     """
     strategies, budgets, pool = _search_settings(n_max, strategy, budget, images, coefficient_pool)
     _require_local(algebra, "hom search needs a local algebra over Q")

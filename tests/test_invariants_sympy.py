@@ -19,6 +19,7 @@ its witnesses rest on, is recomputed from sympy's expanded products of
 the variable images, cut at t^N.
 """
 
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -37,6 +38,7 @@ from artinalg.berger import _image_rank, critical_degree_search
 from artinalg.kahler import kahler_module
 from artinalg.truncated import search_homs
 from conftest import GOLDEN_GENS, GOLDEN_VARS
+from oracles import random_zero_dim_gens
 
 
 def _power_of_maximal_ideal(variables, k):
@@ -47,6 +49,18 @@ def _power_of_maximal_ideal(variables, k):
     ]
 
 
+def _seeded_inputs():
+    """The six seeded ideals of tests/test_groebner.py.  Pure powers of the
+    variables make each quotient local, or trivial exactly when a
+    generator has a nonzero constant term; a trivial one is skipped."""
+    for seed in range(6):
+        rng = random.Random(1000 + seed)
+        variables = ("X", "Y", "Z")[: 2 + seed % 2]
+        gens = random_zero_dim_gens(rng, variables)
+        if not any(mono.is_one() for g in gens for mono in g.terms):
+            yield f"random-{seed}", variables, [g.to_string() for g in gens]
+
+
 INPUTS = [
     ("golden", GOLDEN_VARS, list(GOLDEN_GENS)),
     *((f"Q({r})", ("X", "Y"), [f"X^{r + 1}", f"X^{r}*Y", "Y^2"]) for r in range(1, 6)),
@@ -55,6 +69,7 @@ INPUTS = [
     ("X^12", ("X",), ["X^12"]),
     ("xyz_fourth", ("X", "Y", "Z"), ["X^4", "Y^4", "Z^4", "X*Y*Z"]),
     ("(X-1)^3,Y^2", ("X", "Y"), ["X^3 - 3*X^2 + 3*X - 1", "Y^2"]),
+    *_seeded_inputs(),
 ]
 
 
@@ -170,7 +185,8 @@ def test_power_chain_and_socle_agree_with_sympy(variables, gens):
     dims = oracle.power_dims()
     assert list(_power_dims(A)) == dims
     assert nilpotency_index(A) == len(dims)
-    assert embedding_dimension(A) == dims[0] - (dims[1] if len(dims) > 1 else 0)
+    padded = dims + [0, 0]  # M = 0 for the seeded ideal whose quotient is Q
+    assert embedding_dimension(A) == padded[0] - padded[1]
     socle_dim = oracle.socle_dim()
     assert socle(A).dim == socle_dim
     assert is_gorenstein(A) == (socle_dim == 1)

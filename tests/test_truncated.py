@@ -63,6 +63,12 @@ class TestTruncatedRing:
         with pytest.raises(InvalidArgumentError):
             TruncatedPolyAlgebra(-1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", True])
+    def test_non_integer_truncation_is_an_invalid_argument(self, n):
+        assert TruncatedPolyAlgebra(2).truncation == 2  # 2.0 == 2 must not reach the cached ring
+        with pytest.raises(InvalidArgumentError, match="truncation must be an integer"):
+            TruncatedPolyAlgebra(n)
+
     @pytest.mark.parametrize("n", range(7))
     def test_equals_the_presented_quotient(self, n):
         B = TruncatedPolyAlgebra(n)
@@ -137,6 +143,11 @@ class TestMakeHom:
     def test_coefficient_sequences_accepted(self, q2):
         hom = make_hom(q2, 5, [[0, 0, 1], [0, 0, 0, 2]])
         assert kills_every_generator(hom)
+
+    @pytest.mark.parametrize("n", [2.5, 5.0])
+    def test_non_integer_truncation_is_an_invalid_argument(self, q2, n):
+        with pytest.raises(InvalidArgumentError, match="truncation must be an integer"):
+            make_hom(q2, n, ["t^2", "t^3"])
 
     @pytest.mark.parametrize("bad", [None, ["a"], [1, None], ["1/0"], 3])
     def test_unreadable_image_is_an_invalid_argument(self, q2, bad):
@@ -430,6 +441,32 @@ class TestSearch:
             search_homs(q2, 5, strategy=strategy, images=images, coefficient_pool=pool)
         assert examined == []
 
+    @pytest.mark.parametrize(
+        "n_max, budget, message",
+        [
+            (2.5, 20, "n_max must be an integer, got 2.5"),
+            ("3", 20, "n_max must be an integer, got '3'"),
+            (True, 20, "n_max must be an integer, got True"),
+            (3, 2.5, "budget must be an integer, got 2.5"),
+            (3, {"monomial": 10, "dense-random": 2.0}, "budget must be an integer, got 2.0"),
+        ],
+        ids=["n_max-float", "n_max-str", "n_max-bool", "budget-float", "budget-mapping"],
+    )
+    def test_non_integer_sizes_are_rejected_before_any_candidate(
+        self, monkeypatch, n_max, budget, message
+    ):
+        examined = []
+
+        def recording(*args):
+            examined.append(args)
+            yield None
+
+        for name in truncated._STRATEGIES:
+            monkeypatch.setitem(truncated._STRATEGIES, name, recording)
+        with pytest.raises(InvalidArgumentError, match=message):
+            search_homs(q_algebra(2), n_max, ("monomial", "dense-random"), budget)
+        assert examined == []
+
     def test_pool_entries_are_read_as_rationals(self, q2):
         for strategy in ("monomial", "dense-random"):
             as_text = search_homs(q2, 5, strategy, 60, coefficient_pool=["1", "-1/2"])
@@ -567,3 +604,93 @@ class TestOrderPruning:
         with pytest.raises(RelationViolatedError):
             make_hom(A, 3, ["1 + t"])
         assert make_hom(A, 1, ["1 + t"]).violation() is None
+
+
+def reference_residual_order(gen, exponents, coefficients):
+    """Exact t-order of gen at X_i -> c_i t^(e_i), None if zero: every term
+    evaluated with Fraction powers and summed by degree."""
+    acc = {}
+    for mono, c in gen.terms.items():
+        deg, val = 0, c
+        for e, exp_profile, coeff in zip(mono.exps, exponents, coefficients):
+            if e:
+                deg += e * exp_profile
+                val *= coeff**e
+        s = acc.get(deg, Fraction(0)) + val
+        if s:
+            acc[deg] = s
+        else:
+            acc.pop(deg, None)
+    return min(acc) if acc else None
+
+
+def reference_monomial_keys(algebra, n_max, pool):
+    """The key() of each monomial candidate, None for a rejected one, from
+    one residual order per generator and coefficient tuple."""
+    nvars = len(algebra.variables)
+    for profile in _monomial_profiles(nvars, n_max):
+        for coeffs in product(pool, repeat=nvars):
+            orders = [reference_residual_order(g, profile, coeffs) for g in algebra.gens]
+            finite = [o for o in orders if o is not None]
+            n = n_max if not finite else min(min(finite) - 1, n_max)
+            if n < 1:
+                yield None
+                continue
+            target = TruncatedPolyAlgebra(n)
+            yield (n, tuple(target.t_power(e, c).coords for e, c in zip(profile, coeffs)))
+
+
+class TestMonomialStream:
+    """The stream reads degree groups once per profile and evaluates with
+    Fractions only the groups whose terms share a degree; it yields what
+    one residual order per generator and coefficient tuple gave."""
+
+    STAIRCASE_INPUTS = [
+        (f"Q({r})", ("X", "Y"), (f"X^{r + 1}", f"X^{r}*Y", "Y^2")) for r in range(1, 6)
+    ] + [("<X,Y>^4", *FOURTH_POWER)]
+    # two groups that can cancel below the single terms X^4, Y^4: at
+    # e_X = e_Y the degree-2e group vanishes for c_X = ±c_Y, the
+    # degree-3e group for c_X = c_Y
+    COLLIDING = (("X", "Y"), ("X^2 - Y^2 + X^3 - Y^3", "X^4", "Y^4"))
+    INPUTS = [
+        ("golden", GOLDEN, 24),
+        ("diag_xyz", (("X", "Y", "Z"), ("X^2 - Y^2", "Y^2 - Z^2", "X*Y", "X*Z", "Y*Z")), 12),
+        *((name, (v, g), 12) for name, v, g in STAIRCASE_INPUTS),
+        ("unit-line", TestOrderPruning.UNIT_LINE, 12),
+        ("mixed", TestOrderPruning.MIXED, 12),
+        ("colliding", COLLIDING, 12),
+    ]
+    POOLS = [
+        DEFAULT_COEFF_POOL,
+        (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 2)),
+        (Fraction(1), Fraction(-1)),
+    ]
+
+    @pytest.mark.parametrize("pool", POOLS, ids=["default-pool", "with-zero", "units"])
+    @pytest.mark.parametrize(
+        "presentation, n_max", [pytest.param(p, n, id=name) for name, p, n in INPUTS]
+    )
+    def test_candidates_equal_the_reference(self, presentation, n_max, pool):
+        A = algebra_from_strings(*presentation)
+        budget = 1200
+        stream = truncated._monomial_stream(A, n_max, pool, 0, None)
+        got = [None if hom is None else hom.key() for hom in islice(stream, budget)]
+        assert got == list(islice(reference_monomial_keys(A, n_max, pool), budget))
+
+    def test_staircase_algebras_evaluate_no_group(self, monkeypatch):
+        evaluated = []
+        group_is_nonzero = truncated._group_is_nonzero
+
+        def counting(terms, coeffs):
+            evaluated.append(terms)
+            return group_is_nonzero(terms, coeffs)
+
+        monkeypatch.setattr(truncated, "_group_is_nonzero", counting)
+        for _, variables, gens in self.STAIRCASE_INPUTS:
+            A = algebra_from_strings(variables, gens)
+            stream = truncated._monomial_stream(A, 12, DEFAULT_COEFF_POOL, 0, None)
+            assert sum(hom is not None for hom in stream) == 144 * 49
+        assert evaluated == []
+        A = algebra_from_strings(*self.COLLIDING)
+        list(truncated._monomial_stream(A, 12, DEFAULT_COEFF_POOL, 0, None))
+        assert evaluated
