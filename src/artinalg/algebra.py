@@ -26,11 +26,10 @@ M^2, ..., and kahler's module and H0_dR) are computed once per algebra by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property, wraps
 from fractions import Fraction
 from itertools import compress
-from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -118,6 +117,8 @@ class Subspace:
 
 def _fraction(value) -> Fraction:
     """A rational coordinate; InvalidArgumentError naming a value that is none."""
+    if type(value) is Fraction:
+        return value
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -246,19 +247,73 @@ class AlgebraElement(CoordinateVector):
         return f"<{self.to_polynomial().to_string(self.algebra.order)}>"
 
 
-@dataclass(frozen=True)
-class GradingInfo:
+class _Record:
+    """A result record over the fields its class names in `__slots__`.
+
+    Built by position or keyword; a field left out takes its value from
+    `_defaults`, or from calling its `_factories` entry (a fresh mutable
+    value per record).  Records of one class are equal when their fields
+    are, print as `Name(field=value, ...)`, and copy and pickle.  This is
+    all the result types need of `dataclasses`, whose import (with
+    `inspect` and `ast`) costs as much as the rest of a bare
+    `import artinalg.cli`.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _factories: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        name = type(self).__name__
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{name} takes the fields {', '.join(fields)}, each once")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        for field in fields:
+            if field not in values and field in self._factories:
+                values[field] = self._factories[field]()
+            if field not in values:
+                raise TypeError(f"{name} is missing the field {field!r}")
+            object.__setattr__(self, field, values[field])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which a read-only record allows
+        return type(self), self._fields()
+
+
+class GradingInfo(_Record):
     """Standard-grading data: components and the nilpotency index.
 
     `components[i]` spans the degree-i part when the algebra is standard
     graded (empty tuple otherwise).  `nilpotency_index` is the least n
     with M^(n+1) = 0 for M the maximal ideal; it is computed from the
     nilradical, so it is meaningful for ungraded local algebras too.
+    Read-only and hashable: `grading_info` hands one instance to every
+    caller.
     """
 
-    is_standard_graded: bool
-    components: tuple
-    nilpotency_index: int
+    __slots__ = ("is_standard_graded", "components", "nilpotency_index")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GradingInfo is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GradingInfo is read-only: cannot delete {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class ArtinAlgebra:
@@ -274,6 +329,7 @@ class ArtinAlgebra:
         self.degrees = tuple(m.degree for m in basis)
         self._nf_cache: dict = {}
         self._invariants: dict = {}  # see _per_algebra
+        self._zero = AlgebraElement._raw(self, (ZERO,) * self.dim)
 
     # -- construction ------------------------------------------------------
 
@@ -332,7 +388,8 @@ class ArtinAlgebra:
         return self.from_polynomial(parse_polynomial(text, self.variables))
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement._raw(self, (ZERO,) * self.dim)
+        """The zero element: one per algebra, as elements are immutable."""
+        return self._zero
 
     def one(self) -> AlgebraElement:
         return self.basis_element(self.basis.index(Monomial((0,) * len(self.variables))))

@@ -23,7 +23,6 @@ The operations here assemble evidence objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -32,6 +31,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraMap,
     ArtinAlgebra,
+    _Record,
     _require_graded,
     build_algebra,
     is_principal_ideal_algebra,
@@ -62,25 +62,22 @@ def q_algebra(r: int) -> ArtinAlgebra:
 # -- critical degree ---------------------------------------------------------
 
 
-@dataclass
-class DegreeWitness:
-    hom: TruncatedHom
-    rank: int
+class DegreeWitness(_Record):
+    """A TruncatedHom `hom` and the int `rank` of its image of one component."""
+
+    __slots__ = ("hom", "rank")
 
 
-@dataclass
-class CriticalDegreeReport:
+class CriticalDegreeReport(_Record):
     """Search-certified lower bound and nilpotency upper bound.
 
     `witnesses[i]` stores, for every achieved degree i, a verified hom
-    whose image of the degree-i component has the recorded rank >= 2.
+    whose image of the degree-i component has the recorded rank >= 2
+    (a DegreeWitness).  The bounds and `homs_scanned` are ints,
+    `degrees_achieved` a tuple of ints.
     """
 
-    lower_bound: int
-    upper_bound: int
-    degrees_achieved: tuple
-    witnesses: dict
-    homs_scanned: int
+    __slots__ = ("lower_bound", "upper_bound", "degrees_achieved", "witnesses", "homs_scanned")
 
     def reverify(self, algebra: ArtinAlgebra) -> bool:
         """Recompute every stored rank claim from scratch, by elimination.
@@ -222,13 +219,12 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
 # -- the staircase surjection -------------------------------------------------
 
 
-@dataclass
-class IsoCheck:
-    passed: bool
-    expected_dim: int
-    actual_dim: int
-    failed_degree: int | None = None
-    detail: str = ""
+class IsoCheck(_Record):
+    """Whether the quotient is Q(r): `passed`, the int dimensions, and on a
+    failure the degree (int or None) and a `detail` string."""
+
+    __slots__ = ("passed", "expected_dim", "actual_dim", "failed_degree", "detail")
+    _defaults = {"failed_degree": None, "detail": ""}
 
     def to_record(self) -> dict:
         return {
@@ -240,15 +236,13 @@ class IsoCheck:
         }
 
 
-@dataclass
-class SurjectionToQ:
-    x: AlgebraElement
-    y: AlgebraElement
-    quotient: ArtinAlgebra
-    to_quotient: AlgebraMap
-    iso_check: IsoCheck
-    q: ArtinAlgebra | None = None
-    to_q: AlgebraMap | None = None
+class SurjectionToQ(_Record):
+    """The elements `x`, `y`, the quotient algebra and its AlgebraMap
+    `to_quotient`, the IsoCheck, and, once it passed, Q(r) as `q` with the
+    composite AlgebraMap `to_q` (both None until then)."""
+
+    __slots__ = ("x", "y", "quotient", "to_quotient", "iso_check", "q", "to_q")
+    _defaults = {"q": None, "to_q": None}
 
 
 def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> SurjectionToQ:
@@ -339,18 +333,19 @@ def omega_witness(algebra: ArtinAlgebra, x: AlgebraElement, y: AlgebraElement, r
     return km.act(x ** (r - 1), core)
 
 
-@dataclass
-class WitnessReport:
-    """Outcome of checking one witness against a hom family."""
+class WitnessReport(_Record):
+    """Outcome of checking one witness against a hom family.
 
-    kind: str
-    witness_text: str
-    nonzero: bool
-    certificate: dict
-    all_killed: bool
-    violations: list
-    homs_tested: list
-    notes: dict = field(default_factory=dict)
+    `kind` and `witness_text` are strings, `nonzero` and `all_killed`
+    bools, `certificate` and `notes` dicts (a fresh `notes` per report
+    by default), `violations` and `homs_tested` lists of homs.
+    """
+
+    __slots__ = (
+        "kind", "witness_text", "nonzero", "certificate", "all_killed", "violations",
+        "homs_tested", "notes",
+    )
+    _factories = {"notes": dict}
 
     def to_record(self, include_homs: bool = True) -> dict:
         record = {

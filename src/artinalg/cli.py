@@ -313,7 +313,7 @@ def _report(command, args, variables, gens, results) -> dict:
 
 def _emit(report: dict, as_json: bool, elapsed: float):
     if as_json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
+        json.dump(report, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
         return
     print(f"command: {report['command']}")

@@ -14,8 +14,8 @@ order) input always produces an identical basis object.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InvalidArgumentError, NotZeroDimensionalError, VariableMismatchError
 from .polycore import Monomial, MonomialOrder, Polynomial

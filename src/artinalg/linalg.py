@@ -23,8 +23,8 @@ plain Gauss-Jordan elimination, and every entry of an
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

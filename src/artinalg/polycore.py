@@ -14,8 +14,8 @@ omitted).  Whitespace is insignificant.  `parse_polynomial` and
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidArgumentError,

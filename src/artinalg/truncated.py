@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice, product as iter_product
 from numbers import Rational
-from typing import Iterable, Sequence
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fraction, _fractions, _require_local

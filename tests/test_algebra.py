@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -10,6 +12,7 @@ from artinalg.algebra import (
     AlgebraElement,
     AlgebraMap,
     ArtinAlgebra,
+    GradingInfo,
     Subspace,
     build_algebra,
     embedding_dimension,
@@ -294,6 +297,25 @@ class TestGrading:
         assert graded_component_span(q2, 9).is_zero()
         with pytest.raises(NotGradedError):
             graded_component_span(golden, 1)
+
+    def test_grading_info_is_a_read_only_value(self, q2):
+        info = grading_info(q2)
+        same = GradingInfo(
+            is_standard_graded=True, components=info.components, nilpotency_index=2
+        )
+        assert same == info and hash(same) == hash(info)
+        assert GradingInfo(True, info.components, 3) != info
+        assert {info, same} == {info}
+        with pytest.raises(AttributeError):
+            info.nilpotency_index = 5
+        with pytest.raises(AttributeError):
+            del info.components
+        assert info.nilpotency_index == 2
+        assert repr(GradingInfo(False, (), 0)) == (
+            "GradingInfo(is_standard_graded=False, components=(), nilpotency_index=0)"
+        )
+        assert copy.deepcopy(info) == info
+        assert pickle.loads(pickle.dumps(GradingInfo(False, (), 0))) == GradingInfo(False, (), 0)
 
 
 class TestEuler:

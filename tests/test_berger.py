@@ -11,6 +11,9 @@ from artinalg.algebra import AlgebraMap, grading_info, socle
 from artinalg.berger import (
     CriticalDegreeReport,
     DegreeWitness,
+    IsoCheck,
+    SurjectionToQ,
+    WitnessReport,
     _image_rank,
     _is_single_term,
     _rank_bounds,
@@ -154,6 +157,65 @@ class TestSurjection:
         weak = make_hom(m4, 3, ["t", "t"])  # kills everything of degree 3
         with pytest.raises(WitnessInsufficientError):
             surjection_to_q(m4, weak, 3)
+
+
+class TestRecords:
+    def test_positional_construction(self, q2):
+        hom = degree_one_witness_hom(q2)
+        witness = DegreeWitness(hom, 2)
+        report = CriticalDegreeReport(1, 2, (1,), {1: witness}, 1)
+        assert (witness.hom, witness.rank) == (hom, 2)
+        assert report.lower_bound == 1 and report.upper_bound == 2
+        assert report.degrees_achieved == (1,) and report.homs_scanned == 1
+        assert report.witnesses[1] is witness
+        assert report == CriticalDegreeReport(
+            lower_bound=1, upper_bound=2, degrees_achieved=(1,), witnesses={1: witness},
+            homs_scanned=1,
+        )
+        assert report != CriticalDegreeReport(1, 2, (1,), {1: witness}, 2)
+        assert report.reverify(q2)
+
+    def test_defaults_and_repr(self):
+        check = IsoCheck(True, 5, 5)
+        assert (check.failed_degree, check.detail) == (None, "")
+        assert check == IsoCheck(passed=True, expected_dim=5, actual_dim=5, detail="")
+        assert check != IsoCheck(True, 5, 5, 1)
+        assert repr(IsoCheck(False, 5, 4, detail="dimension mismatch")) == (
+            "IsoCheck(passed=False, expected_dim=5, actual_dim=4, failed_degree=None, "
+            "detail='dimension mismatch')"
+        )
+
+    def test_witness_report_gets_a_fresh_notes_dict(self):
+        fields = ("form", "w", True, {}, True, [], [])
+        first, second = WitnessReport(*fields), WitnessReport(*fields)
+        assert first.notes == {} and first.notes is not second.notes
+        first.notes["r"] = 2
+        assert second.notes == {}
+        assert WitnessReport(*fields, notes={"r": 2}) == first != second
+
+    def test_surjection_fills_q_and_to_q_later(self, q2):
+        hom = make_hom(q2, 5, ["t^2", "t^3"])
+        result = surjection_to_q(q2, hom, 2)
+        bare = SurjectionToQ(
+            result.x, result.y, result.quotient, result.to_quotient, result.iso_check
+        )
+        assert bare.q is None and bare.to_q is None
+        bare.q, bare.to_q = result.q, result.to_q
+        assert bare == result
+
+    def test_bad_arguments_are_type_errors(self):
+        for args, kwargs in [
+            ((True, 5), {}),
+            ((True, 5, 5, None, "", "extra"), {}),
+            ((True, 5, 5), {"passed": False}),
+            ((True, 5, 5), {"colour": "red"}),
+        ]:
+            with pytest.raises(TypeError):
+                IsoCheck(*args, **kwargs)
+
+    def test_mutable_records_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(IsoCheck(True, 5, 5))
 
 
 class TestOmegaWitness:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -561,3 +564,21 @@ class TestDeterminism:
         assert main(["analyze", staircase_path]) == 0
         out = capsys.readouterr().out
         assert "dim: 5" in out
+
+
+class TestColdStart:
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
+        # runs generated code per class: about half of a bare CLI import.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import artinalg.cli; "
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        loaded = set(done.stdout.split())
+        assert "artinalg.cli" in loaded
+        assert loaded & {"dataclasses", "inspect", "typing"} == set()

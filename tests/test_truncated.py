@@ -56,6 +56,11 @@ class TestTruncatedRing:
         assert B.t_order(B.one()) == 0
         assert B.t_order(B.from_coeffs([0, 0, 3, 1])) == 2
 
+    def test_t_power_keeps_a_fraction_coefficient(self):
+        c = Fraction(-1, 3)
+        assert TruncatedPolyAlgebra(4).t_power(2, c).coords[2] is c
+        assert TruncatedPolyAlgebra(4).t_power(2, 3).coords[2] == Fraction(3)
+
     def test_one_ring_per_truncation(self):
         B = TruncatedPolyAlgebra(4)
         assert isinstance(B, ArtinAlgebra)
@@ -594,6 +599,13 @@ class TestOrderPruning:
         assert hom.violation() == plain.violation()
         for i in range(A.dim):
             assert hom.basis_image(i) == plain.basis_image(i)
+
+    def test_pruned_monomials_share_the_ring_zero(self):
+        A = algebra_from_strings(*self.STAIRCASE)
+        B = TruncatedPolyAlgebra(6)
+        hom = TruncatedHom(A, B, [B.t_power(2), B.t_power(3)], verify=False)
+        assert hom.evaluate_monomial((4, 0)) is B.zero() is B.zero()
+        assert A.zero() is A.zero() and A.zero().is_zero()
 
     def test_rejected_candidates_keep_their_residual(self):
         A = algebra_from_strings(*self.UNIT_LINE)
