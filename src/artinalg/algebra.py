@@ -42,7 +42,7 @@ from .errors import (
     VariableMismatchError,
 )
 from .groebner import buchberger, normal_form, standard_monomials
-from .polycore import Monomial, MonomialOrder, Polynomial, check_variables, parse_polynomial
+from .polycore import Monomial, MonomialOrder, Polynomial, _require_integer, check_variables, parse_polynomial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -88,12 +88,6 @@ class Subspace:
         if len(coords) != self.ambient_dim:
             raise VariableMismatchError("vector has wrong length for subspace")
         return coords
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise VariableMismatchError("subspaces of different ambient spaces")
-        rows, pivots = linalg.intersect_rowspaces(self.rows, other.rows, self.ambient_dim)
-        return Subspace(self.owner, self.ambient_dim, rows, pivots)
 
     def basis_elements(self):
         """Rows as AlgebraElements when the owner is an algebra."""
@@ -223,8 +217,7 @@ class AlgebraElement(CoordinateVector):
 
     def __pow__(self, exponent: int):
         """Square-and-multiply."""
-        if exponent < 0:
-            raise InvalidArgumentError(f"negative power {exponent} in an Artinian algebra")
+        _require_integer(exponent, "the power", 0)
         result = self.algebra.one()
         base = self
         while exponent:
@@ -570,9 +563,13 @@ def _per_algebra(fn):
     return once
 
 
-@_per_algebra
-def nilradical(algebra: ArtinAlgebra) -> Subspace:
-    """The nilpotent elements, via the radical of the trace form."""
+def _kernel_subspace(algebra: ArtinAlgebra, rows) -> Subspace:
+    """The subspace of the algebra on which every row vanishes: {a : rows a = 0}."""
+    return Subspace.from_vectors(linalg.kernel_basis(rows, algebra.dim), algebra.dim, owner=algebra)
+
+
+def _trace_form(algebra: ArtinAlgebra) -> list:
+    """The Gram matrix of the trace form (a, b) -> trace(multiplication by ab)."""
     dim = algebra.dim
     products = algebra.products
     # trace of multiplication by basis element l
@@ -580,12 +577,16 @@ def nilradical(algebra: ArtinAlgebra) -> Subspace:
         sum((c for j in range(dim) for k, c in products[l][j] if k == j), ZERO)
         for l in range(dim)
     ]
-    gram = [
+    return [
         [sum((c * traces[k] for k, c in products[i][j]), ZERO) for j in range(dim)]
         for i in range(dim)
     ]
-    kernel = linalg.kernel_basis(gram, dim)
-    return Subspace.from_vectors(kernel, dim, owner=algebra)
+
+
+@_per_algebra
+def nilradical(algebra: ArtinAlgebra) -> Subspace:
+    """The nilpotent elements, via the radical of the trace form."""
+    return _kernel_subspace(algebra, _trace_form(algebra))
 
 
 def is_local_over_q(algebra: ArtinAlgebra) -> bool:
@@ -644,8 +645,7 @@ def socle(algebra: ArtinAlgebra) -> Subspace:
         # matrix of v -> m*v: its columns are the products m * basis[j]
         columns = [algebra.multiply_coords(mrow, unit) for unit in units]
         rows.extend(zip(*columns))
-    kernel = linalg.kernel_basis(rows, dim)
-    return Subspace.from_vectors(kernel, dim, owner=algebra)
+    return _kernel_subspace(algebra, rows)
 
 
 def is_gorenstein(algebra: ArtinAlgebra) -> bool:

@@ -40,13 +40,13 @@ from .algebra import (
 )
 from .errors import (
     IncompatibleAlgebrasError,
-    InvalidArgumentError,
     NotDegreeOneError,
     NotGorensteinError,
     PrincipalAlgebraError,
     WitnessInsufficientError,
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
+from .polycore import _require_integer
 from .truncated import TruncatedHom, make_hom, triangularize
 
 ZERO = Fraction(0)
@@ -54,8 +54,7 @@ ZERO = Fraction(0)
 
 def q_algebra(r: int) -> ArtinAlgebra:
     """The staircase algebra Q[X,Y]/<X^(r+1), X^r Y, Y^2> of dimension 2r+1."""
-    if r < 1:
-        raise InvalidArgumentError(f"r must be >= 1, got {r}")
+    _require_integer(r, "r", 1)
     return build_algebra(("X", "Y"), [f"X^{r + 1}", f"X^{r}*Y", "Y^2"])
 
 
@@ -83,12 +82,12 @@ class CriticalDegreeReport(_Record):
         """Recompute every stored rank claim from scratch, by elimination.
 
         The scan took most ranks from valuations; this check ranks the
-        basis images with `linalg.rank` instead.
+        basis images with `linalg.rank` instead.  Raises
+        IncompatibleAlgebrasError when a witness is not a hom of `algebra`.
         """
+        _homs_of(algebra, (w.hom for w in self.witnesses.values()), TruncatedHom)
         for degree, witness in self.witnesses.items():
-            if _image_rank(algebra, witness.hom, degree) != witness.rank:
-                return False
-            if witness.rank < 2:
+            if witness.rank < 2 or _image_rank(algebra, witness.hom, degree) != witness.rank:
                 return False
         return (
             self.lower_bound == max(self.degrees_achieved)
@@ -106,6 +105,16 @@ class CriticalDegreeReport(_Record):
             },
             "homs_scanned": self.homs_scanned,
         }
+
+
+def _homs_of(algebra: ArtinAlgebra, homs, kind=AlgebraMap) -> list:
+    """The family as a list; IncompatibleAlgebrasError for the first member
+    that is not a `kind` with source `algebra`."""
+    homs = list(homs)
+    for hom in homs:
+        if not isinstance(hom, kind) or hom.source is not algebra:
+            raise IncompatibleAlgebrasError(f"not a {kind.__name__} from the algebra: {hom!r}")
+    return homs
 
 
 def _component_indices(algebra: ArtinAlgebra, degree: int):
@@ -183,14 +192,15 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     Ranks come from valuations (`_rank_bounds`): a degree is skipped when
     its bound hi cannot beat the current witness, takes lo when the bounds
     agree, and is row-reduced only otherwise.  `reverify` rechecks every
-    stored rank by elimination.
+    stored rank by elimination.  Raises IncompatibleAlgebrasError for a
+    family member that is not a TruncatedHom of the algebra.
     """
+    homs = _homs_of(algebra, homs, TruncatedHom)
     info = _require_graded(algebra, "critical degree needs a standard graded algebra")
     if is_principal_ideal_algebra(algebra):
         raise PrincipalAlgebraError("critical degree is undefined for principal algebras")
     n = info.nilpotency_index
-    scan = [degree_one_witness_hom(algebra)]
-    scan.extend(sorted(homs, key=lambda h: (h.gen_seq, h.key())))
+    scan = [degree_one_witness_hom(algebra), *sorted(homs, key=lambda h: (h.gen_seq, h.key()))]
 
     exponents = _degree_exponents(algebra, n)
     witnesses: dict[int, DegreeWitness] = {}
@@ -320,8 +330,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
 
 def omega_witness(algebra: ArtinAlgebra, x: AlgebraElement, y: AlgebraElement, r: int) -> DifferentialForm:
     """The form x^(r-1) (x dy - y dx) for degree-one x and y."""
-    if r < 1:
-        raise InvalidArgumentError(f"r must be >= 1, got {r}")
+    _require_integer(r, "r", 1)
     _require_graded(algebra, "witness form needs a standard grading")
     for e in (x, y):
         if any(
@@ -370,9 +379,8 @@ def _kill_report(
 
     A DifferentialForm witness is pushed forward along each hom, an
     AlgebraElement is applied; the homs that leave it nonzero are the
-    report's violations.
+    report's violations.  `homs` is a list of homs of the witness's algebra.
     """
-    homs = list(homs)
     if isinstance(witness, DifferentialForm):
         kind, images = "form", (pushforward(h, witness) for h in homs)
     else:
@@ -403,6 +411,7 @@ def tau_membership_check(
     its image is recorded next to the direct coordinate certificate.  A
     violating hom is a counterexample and is reported by name.
     """
+    homs = _homs_of(algebra, homs)
     km = kahler_module(algebra)
     if omega.module is not km:
         raise IncompatibleAlgebrasError("form does not live over the given algebra")
@@ -431,6 +440,7 @@ def socle_kill_check(algebra: ArtinAlgebra, homs) -> WitnessReport:
     Valid for Gorenstein nonprincipal local algebras; a violation would
     contradict the socle-kill theorem and is reported explicitly.
     """
+    homs = _homs_of(algebra, homs)
     generator = _gorenstein_socle_generator(algebra)
     return _kill_report(
         generator,
@@ -447,6 +457,7 @@ def tau_witness_gorenstein(algebra: ArtinAlgebra, homs) -> WitnessReport:
     ungradable examples) and the report says so; the kill check against
     the hom family is still evaluated either way.
     """
+    homs = _homs_of(algebra, homs)
     generator = _gorenstein_socle_generator(algebra)
     witness = kahler_module(algebra).d(generator)
     route_ok = not witness.is_zero()

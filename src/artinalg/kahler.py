@@ -26,6 +26,10 @@ of dt, t dt, ..., t^(N-1) dt.  `pushforward` has one path for every
 AlgebraMap: it sums h(a_j) * d(h(X_j)) in the target's ambient
 coordinates (`_times` of `partials`) and reduces once, which gives the
 same class because the relations span a submodule.
+
+H0_dR is the kernel of the matrix of d (`_d_matrix`), and the embedding
+obstruction H0_dR ∩ nilradical the kernel of that matrix stacked on the
+trace form (`algebra._trace_form`), whose kernel is the nilradical.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .algebra import (
     ArtinAlgebra,
     CoordinateVector,
     Subspace,
+    _kernel_subspace,
     _per_algebra,
     _require_local,
+    _trace_form,
 )
 from .errors import IncompatibleAlgebrasError
 from .polycore import Monomial, Polynomial
@@ -203,20 +209,24 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     return target_module.form_from_ambient(out)
 
 
+def _d_matrix(algebra: ArtinAlgebra) -> list:
+    """The matrix of d : A -> Omega_A: a column per basis element of A."""
+    km = kahler_module(algebra)
+    return list(zip(*(km.d(algebra.basis_element(i)).coords for i in range(algebra.dim))))
+
+
 @_per_algebra
 def h0_de_rham(algebra: ArtinAlgebra) -> Subspace:
     """Kernel of d : A -> Omega_A."""
-    km = kahler_module(algebra)
-    columns = [km.d(algebra.basis_element(i)).coords for i in range(algebra.dim)]
-    kernel = linalg.kernel_basis(list(zip(*columns)), algebra.dim)
-    return Subspace.from_vectors(kernel, algebra.dim, owner=algebra)
+    return _kernel_subspace(algebra, _d_matrix(algebra))
 
 
 def embedding_obstruction(algebra: ArtinAlgebra) -> Subspace:
-    """Kernel of H0_dR(A) -> A/nilradical.
+    """Kernel of H0_dR(A) -> A/nilradical: the common kernel of d and of
+    the trace form, whose kernel is the nilradical.
 
     A nonzero obstruction certifies that the algebra embeds in no
     principal ideal algebra.
     """
-    m = _require_local(algebra, "embedding obstruction needs a local algebra over Q")
-    return h0_de_rham(algebra).intersect(m)
+    _require_local(algebra, "embedding obstruction needs a local algebra over Q")
+    return _kernel_subspace(algebra, _d_matrix(algebra) + _trace_form(algebra))

@@ -7,8 +7,9 @@ basis is reproducible.  `echelon` is the one forward elimination:
 `rank` counts its pivots, `truncated.triangularize` runs it on image
 columns, and `rref` is `echelon` plus back-substitution (each pivot row
 normalized, then its column cleared from the rows before it), which
-`kernel_basis`, `intersect_rowspaces`, `invert_matrix` and every
-`algebra.Subspace` read.
+`kernel_basis`, `invert_matrix` and every `algebra.Subspace` read.
+Each structural invariant is one `kernel_basis`: where two kernels meet
+is the kernel of both systems of equations stacked.
 
 The matrices here are mostly zeros, so the kernels do no `Fraction`
 work on a zero: an entry is tested by its truth value, a row operation
@@ -154,29 +155,6 @@ def kernel_basis(rows, ncols: int):
             v[p] = -row[j]
         basis.append(v)
     return basis
-
-
-def intersect_rowspaces(rows_a, rows_b, ncols: int):
-    """Row-space basis (RREF) of span(rows_a) ∩ span(rows_b)."""
-    a = [list(r) for r in rows_a]
-    b = [list(r) for r in rows_b]
-    if not a or not b:
-        return [], []
-    # columns: coefficients on a-rows then b-rows; equations per coordinate
-    eqs = []
-    for c in range(ncols):
-        eqs.append([r[c] for r in a] + [-r[c] for r in b])
-    combos = kernel_basis(eqs, len(a) + len(b))
-    vectors = []
-    for combo in combos:
-        v = [ZERO] * ncols
-        for coef, row in zip(combo[: len(a)], a):
-            if coef:
-                for k, c in enumerate(row):
-                    if c:
-                        v[k] += coef * c
-        vectors.append(v)
-    return rref(vectors)
 
 
 def invert_matrix(rows):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from operator import index
 
 from .errors import (
     InvalidArgumentError,
@@ -28,13 +29,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _require_integer(value, name: str, minimum: int | None = None) -> None:
+    """Raise InvalidArgumentError unless `value` is an int (a bool is not),
+    and at least `minimum` if one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
+
+
 class Monomial:
     """An exponent tuple over an ambient variable list."""
 
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        exps = tuple(int(e) for e in exps)
+        # `index` rejects a non-integer at C speed: this runs per monomial product
+        try:
+            exps = tuple(map(index, exps))
+        except TypeError:
+            raise InvalidArgumentError(f"exponents must be integers, got {exps!r}") from None
         if any(e < 0 for e in exps):
             raise InvalidArgumentError(f"negative exponent in {exps}")
         self.exps = exps
@@ -254,6 +268,7 @@ class Polynomial:
         return Polynomial(self.variables, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        _require_integer(exponent, "the power")
         if exponent < 0:
             raise InvalidArgumentError("negative power of a polynomial")
         result = Polynomial.constant(self.variables, 1)

@@ -26,6 +26,7 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import total_ordering
 from itertools import islice, product as iter_product
 from numbers import Rational
 
@@ -38,7 +39,7 @@ from .errors import (
     RelationViolatedError,
 )
 from .groebner import GroebnerBasis, StandardMonomialBasis
-from .polycore import Monomial, MonomialOrder, Polynomial
+from .polycore import Monomial, MonomialOrder, Polynomial, _require_integer
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,33 +56,25 @@ DEFAULT_COEFF_POOL = (
 )
 
 
-def _require_integer(value, name: str) -> None:
-    """Raise InvalidArgumentError unless `value` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-
-
 class TruncatedPolyAlgebra(ArtinAlgebra):
     """The ring Q[t]/<t^(N+1)> for a fixed int truncation N >= 0.
 
     An ArtinAlgebra over ("t",) with Groebner basis {t^(N+1)} and basis
     1, t, ..., t^N, so coordinates are the coefficients of t^k.  There is
     one ring per N.  It is the one subclass with its own `multiply_coords`,
-    truncated convolution: the generic product over sparse structure
-    constants gives the same coordinates, but made the hom-sweep and
-    staircase benchmark jobs, which multiply mostly here, 3% and 8%
-    slower.  The inherited `products` property derives the table only
-    if a structural function reads it.
+    truncated convolution, which needs no table: the generic product reads
+    `products`, (N+1)(N+2)/2 normal forms per ring, and a search makes rings
+    for many N (`homs q2.alg --nmax 96 --budget 300 --strategy dense-random`
+    took 0.63 s through the table, 0.14 s by convolution, as a whole process
+    on a 2-vCPU host).  So `products` is derived only if it is read.
     """
 
     _rings: dict = {}
 
     def __new__(cls, truncation: int):
-        _require_integer(truncation, "truncation")
+        _require_integer(truncation, "truncation", 0)
         ring = cls._rings.get(truncation)
         if ring is None:
-            if truncation < 0:
-                raise InvalidArgumentError(f"truncation must be >= 0, got {truncation}")
             variables = ("t",)
             order = MonomialOrder.grevlex(variables)
             relation = Polynomial.from_monomial(variables, Monomial((truncation + 1,)))
@@ -135,14 +128,15 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
         return f"<Q[t]/<t^{self.truncation + 1}>>"
 
 
+@total_ordering
 class TruncValue:
     """A value in {0, 1, ..., N, oo} with saturating addition."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: int | None):
-        if value is not None and value < 0:
-            raise InvalidArgumentError("finite valuation must be >= 0")
+        if value is not None:
+            _require_integer(value, "a finite valuation", 0)
         self.value = value
 
     @classmethod
@@ -151,7 +145,8 @@ class TruncValue:
 
     @classmethod
     def finite(cls, value: int) -> "TruncValue":
-        return cls(int(value))
+        _require_integer(value, "a finite valuation", 0)
+        return cls(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -173,15 +168,6 @@ class TruncValue:
         if other.is_infinite:
             return True
         return self.value < other.value
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __hash__(self):
         return hash(("TruncValue", self.value))
@@ -465,11 +451,9 @@ def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
     strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
     budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
     unknown = [s for s in strategies if s not in _STRATEGIES]
-    _require_integer(n_max, "n_max")
+    _require_integer(n_max, "n_max", 1)
     for b in budgets.values():
         _require_integer(b, "budget")
-    if n_max < 1:
-        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     if unknown:
         raise InvalidArgumentError(
             f"unknown strategy {unknown[0]!r}; expected one of {', '.join(_STRATEGIES)}"

@@ -36,7 +36,7 @@ from artinalg.errors import (
     TrivialAlgebraError,
     VariableMismatchError,
 )
-from artinalg.berger import q_algebra
+from artinalg.berger import omega_witness, q_algebra
 from artinalg.kahler import DifferentialForm, h0_de_rham, kahler_module
 from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
 from artinalg.truncated import TruncatedPolyAlgebra, TruncValue
@@ -532,6 +532,11 @@ class TestUnreadableCoordinates:
             call()
 
 
+def _staircase_and_variables():
+    q2 = q_algebra(2)
+    return q2, q2.variable_element("X"), q2.variable_element("Y")
+
+
 class TestLibraryArgumentErrors:
     """The library's own argument checks raise InvalidArgumentError, a ValueError."""
 
@@ -545,9 +550,21 @@ class TestLibraryArgumentErrors:
             (lambda: TruncValue(-1), ">= 0"),
             (lambda: Subspace.from_vectors([[1, 0]], 2).basis_elements(), "no owning algebra"),
             (lambda: socle(q_algebra(2)).contains([0, 0, 0, 0, "x"]), "'x'"),
+            (lambda: Monomial((1.7, 0)), "(1.7, 0)"),
+            (lambda: Monomial(["a", 0]), "['a', 0]"),
+            (lambda: q_algebra(2).variable_element("X") ** 1.5, "1.5"),
+            (lambda: Polynomial.variable(("X",), "X") ** 1.5, "1.5"),
+            (lambda: omega_witness(*_staircase_and_variables(), 1.5), "1.5"),
+            (lambda: q_algebra(2.0), "2.0"),
+            (lambda: q_algebra("2"), "'2'"),
+            (lambda: TruncValue("a"), "'a'"),
+            (lambda: TruncValue(1.5), "1.5"),
+            (lambda: TruncValue.finite(1.5), "1.5"),
         ],
         ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "valuation",
-             "subspace-owner", "subspace-coordinate"],
+             "subspace-owner", "subspace-coordinate", "monomial-float", "monomial-str",
+             "element-power-float", "polynomial-power-float", "omega-r-float", "q-float",
+             "q-str", "valuation-str", "valuation-float", "finite-valuation-float"],
     )
     def test_invalid_argument(self, call, named):
         with pytest.raises(InvalidArgumentError, match=re.escape(named)):

@@ -27,6 +27,7 @@ from artinalg.berger import (
     tau_witness_gorenstein,
 )
 from artinalg.errors import (
+    IncompatibleAlgebrasError,
     NotDegreeOneError,
     NotGorensteinError,
     NotGradedError,
@@ -288,6 +289,45 @@ class TestTauMembership:
         report = tau_membership_check(chain3, dx, homs)
         assert not report.all_killed
         assert report.violations
+
+
+class TestHomFamilyOfAnotherAlgebra:
+    """A family member that is not a hom of the algebra is rejected before
+    any work, not scanned into a false bound or a bare AttributeError."""
+
+    def test_critical_degree_rejects_homs_of_another_algebra(self, q2, q3):
+        with pytest.raises(IncompatibleAlgebrasError):
+            critical_degree_search(q2, search_homs(q3, 8, budget=200))
+
+    def test_reverify_rejects_another_algebra(self, q2, q3):
+        report = critical_degree_search(q3, search_homs(q3, 8, budget=200))
+        assert report.reverify(q3)
+        with pytest.raises(IncompatibleAlgebrasError):
+            report.reverify(q2)
+
+    @pytest.mark.parametrize("member", [1, "X", None])
+    def test_kill_checks_reject_a_non_map(self, golden, member):
+        homs = search_homs(golden, 6, budget=50) + [member]
+        dw = d(golden.from_string("X^2*Y^2"))
+        for check in (
+            lambda: socle_kill_check(golden, homs),
+            lambda: tau_witness_gorenstein(golden, homs),
+            lambda: tau_membership_check(golden, dw, homs),
+        ):
+            with pytest.raises(IncompatibleAlgebrasError):
+                check()
+
+    def test_kill_checks_reject_a_hom_of_another_algebra(self, golden, gorenstein_diag):
+        homs = search_homs(gorenstein_diag, 6, budget=50)
+        assert homs
+        with pytest.raises(IncompatibleAlgebrasError):
+            socle_kill_check(golden, homs)
+        with pytest.raises(IncompatibleAlgebrasError):
+            tau_membership_check(golden, d(golden.from_string("X^2*Y^2")), homs)
+
+    def test_critical_degree_rejects_a_plain_algebra_map(self, q2):
+        with pytest.raises(IncompatibleAlgebrasError):
+            critical_degree_search(q2, [AlgebraMap.identity(q2)])
 
 
 class TestSocleKill:

@@ -155,7 +155,7 @@ class TestArbitraryInput:
 class TestAnalyze:
     def test_each_invariant_is_one_kernel(self, capsys, monkeypatch, golden_path):
         # nilradical, socle and H0_dR are one kernel each, and the
-        # obstruction intersects H0_dR with the nilradical by one more
+        # obstruction is one more: the common kernel of d and the trace form
         calls = []
         kernel_basis = linalg.kernel_basis
 

@@ -11,7 +11,12 @@ M is generated by the x_i - lambda_i, so
 - the socle is the common kernel of the multiplication matrices of the
   x_i - lambda_i, built from remainders modulo a Groebner basis of I;
 - dim Omega_A is m*d minus the rank of the vectors b * dg/dX_i (b a
-  standard monomial, g a generator of I) reduced into (+)_i A dX_i.
+  standard monomial, g a generator of I) reduced into (+)_i A dX_i;
+- a subspace S of A meets the kernel of d : A -> Omega_A in dim S minus
+  the rank of d(S) modulo those relation vectors, which gives dim H0_dR
+  (S = A) and the dimension of the embedding obstruction H0_dR ∩ M
+  (S = M, spanned by the columns of the multiplication matrices of the
+  x_i - lambda_i).
 
 Homomorphisms into Q[t]/<t^(N+1)> are checked the same way: the rank of
 the image of each graded component, which the critical-degree scan and
@@ -32,10 +37,11 @@ from artinalg.algebra import (
     embedding_dimension,
     is_gorenstein,
     nilpotency_index,
+    nilradical,
     socle,
 )
 from artinalg.berger import _image_rank, critical_degree_search
-from artinalg.kahler import kahler_module
+from artinalg.kahler import embedding_obstruction, h0_de_rham, kahler_module
 from artinalg.truncated import search_homs
 from conftest import GOLDEN_GENS, GOLDEN_VARS
 from oracles import random_zero_dim_gens
@@ -150,15 +156,40 @@ class SympyLocalAlgebra:
         stacked = sympy.Matrix.vstack(*(self._times(g) for g in self.maximal_ideal_generators()))
         return self.dim - stacked.rank()
 
-    def kahler_dim(self):
-        """m*d minus the rank of the reduced vectors b * dg/dX_i."""
-        cache, rows = {}, []
+    def _relations(self, cache):
+        """The reduced vectors b * dg/dX_i, one per generator g and basis monomial b."""
+        rows = []
         for g in self.gens:
             partials = [sympy.diff(g, x) for x in self.symbols]
             for mono in self.basis:
                 b = self._monomial(mono)
                 rows.append(sum((self._linear_coords(b * dg, cache) for dg in partials), []))
-        return len(self.symbols) * self.dim - _rank(rows)
+        return rows
+
+    def kahler_dim(self):
+        """m*d minus the rank of the reduced vectors b * dg/dX_i."""
+        return len(self.symbols) * self.dim - _rank(self._relations({}))
+
+    def de_rham_dims(self):
+        """dim H0_dR and dim(H0_dR ∩ M), each as dim S minus the rank of
+        d(S) modulo the relations, for S = A and S = M."""
+        cache = {}
+        relations = self._relations(cache)
+        d_basis = sympy.Matrix([
+            sum((self._linear_coords(sympy.diff(self._monomial(mono), x), cache)
+                 for x in self.symbols), [])
+            for mono in self.basis
+        ]).T  # column j is d of the j-th standard monomial
+        maximal = sympy.Matrix.hstack(
+            *(self._times(g) for g in self.maximal_ideal_generators())
+        ).columnspace()
+
+        def meet_kernel_of_d(spanning):
+            images = [list(d_basis * v) for v in spanning]
+            return len(spanning) - (_rank(relations + images) - _rank(relations))
+
+        identity = [sympy.Matrix.eye(self.dim).col(j) for j in range(self.dim)]
+        return meet_kernel_of_d(identity), meet_kernel_of_d(maximal)
 
     def component_image_ranks(self, images, truncation):
         """The rank of the image of each degree 1, 2, ... of the basis under
@@ -223,3 +254,20 @@ def test_component_image_ranks_agree_with_sympy(variables, gens):
         assert oracle.component_image_ranks(_sympy_images(hom), hom.truncation)[degree] == (
             witness.rank
         )
+
+
+@pytest.mark.parametrize(
+    "variables, gens", [pytest.param(v, g, id=name) for name, v, g in INPUTS]
+)
+def test_de_rham_and_obstruction_agree_with_sympy(variables, gens):
+    """dim H0_dR and the obstruction's dimension from sympy alone; every
+    obstruction row lies in H0_dR and in the nilradical; and in a local
+    algebra the obstruction is H0_dR less the constants, because d(1) = 0
+    and A = Q*1 + M."""
+    A = build_algebra(variables, gens)
+    h0_dim, obstruction_dim = SympyLocalAlgebra(variables, gens).de_rham_dims()
+    h0, obstruction = h0_de_rham(A), embedding_obstruction(A)
+    assert (h0.dim, obstruction.dim) == (h0_dim, obstruction_dim)
+    assert obstruction.dim == h0.dim - 1
+    for row in obstruction.rows:
+        assert h0.contains(row) and nilradical(A).contains(row)
