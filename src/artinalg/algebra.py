@@ -14,10 +14,12 @@ quotient (surjections) or Q[t]/<t^(N+1)> (the subclass
 `truncated.TruncatedHom`).  A map evaluates through one memo of monomial
 images and sums the images of a polynomial or an element in one list.
 
-The nilradical is computed as the radical of the trace bilinear form
-(a, b) -> trace(multiplication by ab), which equals the set of nilpotents
-in characteristic zero; being a single kernel computation it is easy to
-cross-check against brute-force nilpotency.
+The trace functional tau(a) = trace(multiplication by a) (`_trace_row`)
+gives the kernels: the nilradical is the radical of the trace form
+(a, b) -> tau(ab), the nilpotents in characteristic zero.  For a local
+algebra over Q it is M = ker tau, multiplication by x_i has the one
+eigenvalue r_i = tau(x_i) / dim, and the x_i - r_i generate M, so the
+socle is the common kernel of multiplication by them.
 
 Structural invariants (nilradical, socle, grading, the dimensions of M,
 M^2, ..., and kahler's module and H0_dR) are computed once per algebra by
@@ -42,7 +44,10 @@ from .errors import (
     VariableMismatchError,
 )
 from .groebner import buchberger, normal_form, standard_monomials
-from .polycore import Monomial, MonomialOrder, Polynomial, _require_integer, check_variables, parse_polynomial
+from .polycore import (
+    Monomial, MonomialOrder, Polynomial, _fraction, _reject_operand, _require_integer, check_variables,
+    parse_polynomial,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -109,16 +114,6 @@ class Subspace:
         return f"<Subspace dim {self.dim} of ambient {self.ambient_dim}>"
 
 
-def _fraction(value) -> Fraction:
-    """A rational coordinate; InvalidArgumentError naming a value that is none."""
-    if type(value) is Fraction:
-        return value
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidArgumentError(f"cannot read the coordinate {value!r}") from None
-
-
 def _fractions(values) -> tuple:
     """Rational coordinates; InvalidArgumentError naming an unreadable one."""
     try:
@@ -163,7 +158,9 @@ class CoordinateVector:
         return self
 
     def _check(self, other: "CoordinateVector"):
-        if self.space is not other.space:
+        if getattr(other, "space", None) is not self.space:
+            if not isinstance(other, CoordinateVector):
+                _reject_operand(self, other)
             raise IncompatibleAlgebrasError(
                 f"{type(self).__name__} and {type(other).__name__} of different spaces"
             )
@@ -183,8 +180,10 @@ class CoordinateVector:
     def __neg__(self):
         return self._raw(self.space, tuple(-a for a in self.coords))
 
+    __radd__ = __rsub__ = __mul__ = __rmul__ = _reject_operand
+
     def scale(self, value):
-        c = Fraction(value)
+        c = _fraction(value)
         return self._raw(self.space, tuple(c * a if a else ZERO for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -568,25 +567,22 @@ def _kernel_subspace(algebra: ArtinAlgebra, rows) -> Subspace:
     return Subspace.from_vectors(linalg.kernel_basis(rows, algebra.dim), algebra.dim, owner=algebra)
 
 
-def _trace_form(algebra: ArtinAlgebra) -> list:
-    """The Gram matrix of the trace form (a, b) -> trace(multiplication by ab)."""
-    dim = algebra.dim
+def _trace_row(algebra: ArtinAlgebra) -> list:
+    """The trace functional: tau(basis[l]) = trace(multiplication by basis[l])."""
     products = algebra.products
-    # trace of multiplication by basis element l
-    traces = [
-        sum((c for j in range(dim) for k, c in products[l][j] if k == j), ZERO)
-        for l in range(dim)
-    ]
     return [
-        [sum((c * traces[k] for k, c in products[i][j]), ZERO) for j in range(dim)]
-        for i in range(dim)
+        sum((c for j, pairs in enumerate(row) for k, c in pairs if k == j), ZERO)
+        for row in products
     ]
 
 
 @_per_algebra
 def nilradical(algebra: ArtinAlgebra) -> Subspace:
-    """The nilpotent elements, via the radical of the trace form."""
-    return _kernel_subspace(algebra, _trace_form(algebra))
+    """The nilpotent elements: the radical of the trace form, whose Gram
+    matrix has the entries tau(basis[i] * basis[j])."""
+    products, tau = algebra.products, _trace_row(algebra)
+    gram = [[sum((c * tau[k] for k, c in pairs), ZERO) for pairs in row] for row in products]
+    return _kernel_subspace(algebra, gram)
 
 
 def is_local_over_q(algebra: ArtinAlgebra) -> bool:
@@ -634,17 +630,17 @@ def nilpotency_index(algebra: ArtinAlgebra) -> int:
 
 @_per_algebra
 def socle(algebra: ArtinAlgebra) -> Subspace:
-    """Annihilator of the maximal ideal, as a linear system."""
-    m = maximal_ideal(algebra)
-    dim = algebra.dim
-    # factors with int zeros, which test faster than Fraction zeros
-    units = [[int(k == j) for k in range(dim)] for j in range(dim)]
+    """Annihilator of the maximal ideal: the common kernel of multiplication
+    by the x_i - r_i (module docstring).  Only the variables that are standard
+    monomials are read: they generate the algebra and need no normal form."""
+    maximal_ideal(algebra)
+    tau, one = _trace_row(algebra), algebra.one()
     rows = []
-    for mrow in m.rows:
-        mrow = [c if c else 0 for c in mrow]
-        # matrix of v -> m*v: its columns are the products m * basis[j]
-        columns = [algebra.multiply_coords(mrow, unit) for unit in units]
-        rows.extend(zip(*columns))
+    for i, degree in enumerate(algebra.degrees):
+        if degree == 1:
+            generator = algebra.basis_element(i) - one.scale(tau[i] / algebra.dim)
+            columns = [(generator * algebra.basis_element(j)).coords for j in range(algebra.dim)]
+            rows.extend(zip(*columns))
     return _kernel_subspace(algebra, rows)
 
 
@@ -669,17 +665,14 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
     graded = all(p.is_homogeneous() for p in algebra.gb.polys)
     components: tuple = ()
     if graded:
-        top = max(algebra.degrees) if algebra.dim else 0
-        comps = []
-        for d in range(top + 1):
-            vectors = []
-            for i, deg in enumerate(algebra.degrees):
-                if deg == d:
-                    row = [ZERO] * algebra.dim
-                    row[i] = ONE
-                    vectors.append(row)
-            comps.append(Subspace.from_vectors(vectors, algebra.dim, owner=algebra))
-        components = tuple(comps)
+        components = tuple(
+            Subspace.from_vectors(
+                [algebra.basis_element(i).coords for i, deg in enumerate(algebra.degrees) if deg == d],
+                algebra.dim,
+                owner=algebra,
+            )
+            for d in range(max(algebra.degrees) + 1)
+        )
     return GradingInfo(graded, components, nilpotency_index(algebra))
 
 

@@ -29,7 +29,8 @@ same class because the relations span a submodule.
 
 H0_dR is the kernel of the matrix of d (`_d_matrix`), and the embedding
 obstruction H0_dR ∩ nilradical the kernel of that matrix stacked on the
-trace form (`algebra._trace_form`), whose kernel is the nilradical.
+one row of the trace functional (`algebra._trace_row`), whose kernel is
+the maximal ideal of a local algebra over Q.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .algebra import (
     _kernel_subspace,
     _per_algebra,
     _require_local,
-    _trace_form,
+    _trace_row,
 )
 from .errors import IncompatibleAlgebrasError
 from .polycore import Monomial, Polynomial
@@ -223,10 +224,11 @@ def h0_de_rham(algebra: ArtinAlgebra) -> Subspace:
 
 def embedding_obstruction(algebra: ArtinAlgebra) -> Subspace:
     """Kernel of H0_dR(A) -> A/nilradical: the common kernel of d and of
-    the trace form, whose kernel is the nilradical.
+    the trace functional tau, whose kernel is the maximal ideal of a local
+    algebra over Q (a = r + n with n nilpotent has tau(a) = r * dim).
 
     A nonzero obstruction certifies that the algebra embeds in no
     principal ideal algebra.
     """
     _require_local(algebra, "embedding obstruction needs a local algebra over Q")
-    return _kernel_subspace(algebra, _d_matrix(algebra) + _trace_form(algebra))
+    return _kernel_subspace(algebra, _d_matrix(algebra) + [_trace_row(algebra)])

@@ -38,6 +38,23 @@ def _require_integer(value, name: str, minimum: int | None = None) -> None:
         raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _fraction(value) -> Fraction:
+    """A rational number; InvalidArgumentError naming a value that is none."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(f"cannot read the coordinate {value!r}") from None
+
+
+def _reject_operand(left, right):
+    """Raise for an operator given an operand of another kind (README, semantics)."""
+    raise InvalidArgumentError(
+        f"cannot combine {type(left).__name__} with {right!r}; multiply by a number with scale()"
+    )
+
+
 class Monomial:
     """An exponent tuple over an ambient variable list."""
 
@@ -218,6 +235,8 @@ class Polynomial:
         return len(degrees) <= 1
 
     def _check(self, other: "Polynomial"):
+        if not isinstance(other, Polynomial):
+            _reject_operand(self, other)
         if self.variables != other.variables:
             raise VariableMismatchError(
                 f"operands over {self.variables} vs {other.variables}"
@@ -229,23 +248,12 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, ZERO) + c
-            if s == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return Polynomial(self.variables, terms)
+            terms[mono] = terms.get(mono, ZERO) + c
+        return Polynomial(self.variables, terms)  # drops the zero sums
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, ZERO) - c
-            if s == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return Polynomial(self.variables, terms)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.variables, {m: -c for m, c in self.terms.items()})
@@ -256,16 +264,14 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 prod = m1 * m2
-                s = terms.get(prod, ZERO) + c1 * c2
-                if s == 0:
-                    terms.pop(prod, None)
-                else:
-                    terms[prod] = s
+                terms[prod] = terms.get(prod, ZERO) + c1 * c2
         return Polynomial(self.variables, terms)
 
     def scale(self, value) -> "Polynomial":
-        c = Fraction(value)
+        c = _fraction(value)
         return Polynomial(self.variables, {m: c * v for m, v in self.terms.items()})
+
+    __radd__ = __rsub__ = __rmul__ = _reject_operand
 
     def __pow__(self, exponent: int) -> "Polynomial":
         _require_integer(exponent, "the power")
@@ -331,20 +337,11 @@ class Polynomial:
             return "0"
         pieces = []
         for mono, coeff in self.sorted_terms(order):
-            sign = "-" if coeff < 0 else "+"
-            mag = -coeff if coeff < 0 else coeff
-            if mono.is_one():
-                body = str(mag)
-            elif mag == 1:
-                body = mono.as_string(self.variables)
-            else:
-                body = f"{mag}*{mono.as_string(self.variables)}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            mag, name = abs(coeff), mono.as_string(self.variables)
+            body = str(mag) if mono.is_one() else name if mag == 1 else f"{mag}*{name}"
+            pieces.append(("- " if coeff < 0 else "+ ") + body)
+        text = " ".join(pieces)  # "+ a - b ...": the first sign is written without its space
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.to_string()}>"
@@ -409,6 +406,8 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     Raises PolynomialSyntaxError on malformed input, UnknownVariableError
     for names outside `variables`, and rejects zero denominators.
     """
+    if not isinstance(text, str):
+        raise InvalidArgumentError(f"polynomial text must be a string, got {text!r}")
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}
     tokens = _tokenize(text)

@@ -31,7 +31,7 @@ from itertools import islice, product as iter_product
 from numbers import Rational
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fraction, _fractions, _require_local
+from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fractions, _require_local
 from .errors import (
     DependentInputError,
     IncompatibleAlgebrasError,
@@ -39,7 +39,7 @@ from .errors import (
     RelationViolatedError,
 )
 from .groebner import GroebnerBasis, StandardMonomialBasis
-from .polycore import Monomial, MonomialOrder, Polynomial, _require_integer
+from .polycore import Monomial, MonomialOrder, Polynomial, _fraction, _require_integer
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -497,6 +497,11 @@ def search_homs(
     work beyond its budget.  Results are deduplicated by the canonical
     key (N, images) and sorted by it; each hom's `gen_seq` is the number
     of homs kept before it.  An empty list is a legitimate outcome.
+
+    "monomial" and "dense-random" propose only images of positive
+    t-order, so they find nothing on an algebra whose point lies away
+    from the origin, such as Q[X]/<(X-1)^3>, where every hom sends X to
+    1 plus an element of positive order; give such images through "user".
 
     Raises InvalidArgumentError, before examining any candidate, for
     an n_max or a budget that is not an int, n_max < 1, no strategy, an

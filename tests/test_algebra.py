@@ -537,8 +537,25 @@ def _staircase_and_variables():
     return q2, q2.variable_element("X"), q2.variable_element("Y")
 
 
+def _x():
+    return q_algebra(2).variable_element("X")
+
+
+def _X():
+    return Polynomial.variable(("X", "Y"), "X")
+
+
+def _dx():
+    x = _x()
+    return kahler_module(x.algebra).d(x)
+
+
 class TestLibraryArgumentErrors:
-    """The library's own argument checks raise InvalidArgumentError, a ValueError."""
+    """The library's own argument checks raise InvalidArgumentError, a ValueError.
+
+    Operators take only operands of their own kind over one space; any
+    other operand, on either side, is an InvalidArgumentError naming it.
+    """
 
     @pytest.mark.parametrize(
         "call, named",
@@ -560,11 +577,32 @@ class TestLibraryArgumentErrors:
             (lambda: TruncValue("a"), "'a'"),
             (lambda: TruncValue(1.5), "1.5"),
             (lambda: TruncValue.finite(1.5), "1.5"),
+            (lambda: _x() + 1, "AlgebraElement with 1;"),
+            (lambda: _x() * 2, "AlgebraElement with 2;"),
+            (lambda: _x() + "a", "AlgebraElement with 'a';"),
+            (lambda: 2 * _x(), "AlgebraElement with 2;"),
+            (lambda: 1 - _x(), "AlgebraElement with 1;"),
+            (lambda: _x() + _X(), "AlgebraElement with <Polynomial X>;"),
+            (lambda: _x().scale("a"), "'a'"),
+            (lambda: 2 * _dx(), "DifferentialForm with 2;"),
+            (lambda: _dx().scale("a"), "'a'"),
+            (lambda: _X() * 2, "Polynomial with 2;"),
+            (lambda: _X() + 1, "Polynomial with 1;"),
+            (lambda: 2 * _X(), "Polynomial with 2;"),
+            (lambda: _X() - None, "Polynomial with None;"),
+            (lambda: _X().scale("a"), "'a'"),
+            (lambda: q_algebra(2).from_string(1), "got 1"),
+            (lambda: build_algebra(("X",), [1]), "got 1"),
         ],
         ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "valuation",
              "subspace-owner", "subspace-coordinate", "monomial-float", "monomial-str",
              "element-power-float", "polynomial-power-float", "omega-r-float", "q-float",
-             "q-str", "valuation-str", "valuation-float", "finite-valuation-float"],
+             "q-str", "valuation-str", "valuation-float", "finite-valuation-float",
+             "element-plus-int", "element-times-int", "element-plus-str", "int-times-element",
+             "int-minus-element", "element-plus-polynomial", "element-scale-str",
+             "int-times-form", "form-scale-str", "polynomial-times-int", "polynomial-plus-int",
+             "int-times-polynomial", "polynomial-minus-none", "polynomial-scale-str",
+             "from-string-int", "build-int-generator"],
     )
     def test_invalid_argument(self, call, named):
         with pytest.raises(InvalidArgumentError, match=re.escape(named)):

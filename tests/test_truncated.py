@@ -488,6 +488,13 @@ class TestSearch:
     def test_pool_is_the_documented_default(self):
         assert DEFAULT_COEFF_POOL[0] == 1 and len(DEFAULT_COEFF_POOL) == 7
 
+    def test_generated_images_have_positive_order(self):
+        """The documented limit: away from the origin only "user" images find homs."""
+        A = build_algebra(("X",), ["X^3 - 3*X^2 + 3*X - 1"])
+        assert search_homs(A, 6, strategy=("monomial", "dense-random"), budget=500) == []
+        assert make_hom(A, 4, ["1 + t^2"]).images[0].coords[0] == 1
+        assert len(search_homs(A, 4, strategy="user", images=["1 + t^2"], budget=1)) == 1
+
 
 class TestComposition:
     def test_hom_after_quotient(self, q2):
