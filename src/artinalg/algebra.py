@@ -24,6 +24,10 @@ socle is the common kernel of multiplication by them.
 Structural invariants (nilradical, socle, grading, the dimensions of M,
 M^2, ..., and kahler's module and H0_dR) are computed once per algebra by
 `_per_algebra`: repeated calls return the same, read-only object.
+
+Coordinates and scalars are read only by `polycore._fraction` (`_fractions`
+for a vector), and the degree-d basis only by `ArtinAlgebra.degree_indices`
+(the socle, the grading, berger's rank scans and `tau --r`).
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .errors import (
 )
 from .groebner import buchberger, normal_form, standard_monomials
 from .polycore import (
-    Monomial, MonomialOrder, Polynomial, _fraction, _reject_operand, _require_integer, check_variables,
-    parse_polynomial,
+    Monomial, MonomialOrder, Polynomial, _fraction, _reject_operand, _require_integer, _sequence,
+    check_variables, parse_polynomial,
 )
 
 ZERO = Fraction(0)
@@ -115,15 +119,8 @@ class Subspace:
 
 
 def _fractions(values) -> tuple:
-    """Rational coordinates; InvalidArgumentError naming an unreadable one."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise InvalidArgumentError(f"cannot read the coordinates {values!r}") from None
-    try:
-        return tuple(map(Fraction, values))
-    except (TypeError, ValueError, ZeroDivisionError):
-        return tuple(map(_fraction, values))
+    """Rational coordinates, each read by `_fraction`."""
+    return tuple(map(_fraction, _sequence(values, "coordinates")))
 
 
 class CoordinateVector:
@@ -391,6 +388,10 @@ class ArtinAlgebra:
         coords[i] = ONE
         return AlgebraElement._raw(self, tuple(coords))
 
+    def degree_indices(self, degree: int) -> list:
+        """The indices of the basis monomials of this degree, in basis order."""
+        return [i for i, d in enumerate(self.degrees) if d == degree]
+
     def variable_element(self, name: str) -> AlgebraElement:
         return self.from_polynomial(Polynomial.variable(self.variables, name))
 
@@ -424,7 +425,7 @@ def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinA
     variables = check_variables(variables)
     gens = [
         g if isinstance(g, Polynomial) else parse_polynomial(g, variables)
-        for g in gens
+        for g in _sequence(gens, "generators")
     ]
     if not gens:
         gens = [Polynomial.zero(variables)]
@@ -636,11 +637,10 @@ def socle(algebra: ArtinAlgebra) -> Subspace:
     maximal_ideal(algebra)
     tau, one = _trace_row(algebra), algebra.one()
     rows = []
-    for i, degree in enumerate(algebra.degrees):
-        if degree == 1:
-            generator = algebra.basis_element(i) - one.scale(tau[i] / algebra.dim)
-            columns = [(generator * algebra.basis_element(j)).coords for j in range(algebra.dim)]
-            rows.extend(zip(*columns))
+    for i in algebra.degree_indices(1):
+        generator = algebra.basis_element(i) - one.scale(tau[i] / algebra.dim)
+        columns = [(generator * algebra.basis_element(j)).coords for j in range(algebra.dim)]
+        rows.extend(zip(*columns))
     return _kernel_subspace(algebra, rows)
 
 
@@ -667,7 +667,7 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
     if graded:
         components = tuple(
             Subspace.from_vectors(
-                [algebra.basis_element(i).coords for i, deg in enumerate(algebra.degrees) if deg == d],
+                [algebra.basis_element(i).coords for i in algebra.degree_indices(d)],
                 algebra.dim,
                 owner=algebra,
             )
@@ -692,9 +692,7 @@ def euler_derivation(algebra: ArtinAlgebra, element: AlgebraElement) -> AlgebraE
 
 def reduced_quotient(algebra: ArtinAlgebra):
     """The reduced quotient A/nilradical with its surjection."""
-    nil = nilradical(algebra)
-    extra = [AlgebraElement(algebra, row).to_polynomial() for row in nil.rows]
-    return quotient_algebra(algebra, extra)
+    return quotient_algebra(algebra, nilradical(algebra).basis_elements())
 
 
 def quotient_algebra(algebra: ArtinAlgebra, extra_gens):

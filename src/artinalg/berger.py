@@ -117,24 +117,8 @@ def _homs_of(algebra: ArtinAlgebra, homs, kind=AlgebraMap) -> list:
     return homs
 
 
-def _component_indices(algebra: ArtinAlgebra, degree: int):
-    return [i for i, d in enumerate(algebra.degrees) if d == degree]
-
-
 def _image_rank(algebra: ArtinAlgebra, hom: TruncatedHom, degree: int) -> int:
-    rows = [
-        list(hom.basis_image(i).coords) for i in _component_indices(algebra, degree)
-    ]
-    return linalg.rank(rows)
-
-
-def _degree_exponents(algebra: ArtinAlgebra, top: int):
-    """The exponent vectors of the basis monomials of each degree 1..top."""
-    rows = [[] for _ in range(top)]
-    for mono, degree in zip(algebra.basis, algebra.degrees):
-        if 1 <= degree <= top:
-            rows[degree - 1].append(mono.exps)
-    return rows
+    return linalg.rank([hom.basis_image(i).coords for i in algebra.degree_indices(degree)])
 
 
 def _is_single_term(hom: TruncatedHom) -> bool:
@@ -202,7 +186,9 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     n = info.nilpotency_index
     scan = [degree_one_witness_hom(algebra), *sorted(homs, key=lambda h: (h.gen_seq, h.key()))]
 
-    exponents = _degree_exponents(algebra, n)
+    exponents = [
+        [algebra.basis[i].exps for i in algebra.degree_indices(degree)] for degree in range(1, n + 1)
+    ]
     witnesses: dict[int, DegreeWitness] = {}
     for hom in scan:
         orders, cap, single = hom.image_orders(), hom.truncation, _is_single_term(hom)
@@ -268,7 +254,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
         raise WitnessInsufficientError(
             f"hom keeps the degree-{r} component below dimension 2"
         )
-    degree_one = [algebra.basis_element(i) for i in _component_indices(algebra, 1)]
+    degree_one = [algebra.basis_element(i) for i in algebra.degree_indices(1)]
     staircase = triangularize(hom, degree_one)
     finite = [e for e in staircase if not hom.valuation(e).is_infinite]
     if len(finite) < 2:
@@ -318,7 +304,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
     psi_images = []
     for name in quotient.variables:
         coords = quotient.variable_element(name).coords
-        psi_images.append(AlgebraElement(q, linalg.mat_vec(inverse, coords)))
+        psi_images.append(AlgebraElement(q, [sum(map(mul, row, coords), ZERO) for row in inverse]))
     psi = AlgebraMap(quotient, q, psi_images)
     result.q = q
     result.to_q = to_quotient.then(psi)

@@ -42,7 +42,6 @@ from .algebra import (
     socle,
 )
 from .berger import (
-    _kill_report,
     critical_degree_search,
     omega_witness,
     socle_kill_check,
@@ -178,18 +177,12 @@ def cmd_analyze(args) -> tuple[dict, int]:
     return _report("analyze", args, variables, gens, results), EXIT_OK
 
 
-def _split_images(args):
-    if not args.images:
-        return None
-    return [s.strip() for s in args.images.split(";") if s.strip()]
-
-
 def _search(algebra, args, verify_images=False):
     """search_homs with the command's flags; with `verify_images`, user --images
     are built into a hom once the flags are checked, so a relation they violate
     is an input error."""
     strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
-    images = _split_images(args)
+    images = [s.strip() for s in args.images.split(";") if s.strip()] if args.images else None
     if verify_images and args.images and "user" in strategies:
         # the flags first; the user stream then takes the verified hom as it is
         _search_settings(args.nmax, strategies, args.budget, args.images)
@@ -239,14 +232,8 @@ def cmd_tau(args) -> tuple[dict, int]:
         witness_form = kahler_module(algebra).d(element)
     elif args.r is not None:
         # degree-one basis monomials in variable order (X before Y etc.)
-        indexed = sorted(
-            (
-                (algebra.basis[i].exps.index(1), i)
-                for i, d in enumerate(algebra.degrees)
-                if d == 1
-            ),
-        )
-        degree_one = [algebra.basis_element(i) for _, i in indexed]
+        indices = sorted(algebra.degree_indices(1), key=lambda i: algebra.basis[i].exps.index(1))
+        degree_one = [algebra.basis_element(i) for i in indices]
         if len(degree_one) < 2:
             raise ArtinalgError("need two degree-one basis monomials for --r mode")
         witness_form = omega_witness(algebra, degree_one[0], degree_one[1], args.r)
@@ -257,7 +244,7 @@ def cmd_tau(args) -> tuple[dict, int]:
     element_violations = []
     if element is not None:
         element_text = element.to_polynomial().to_string(algebra.order)
-        element_violations = _kill_report(element, homs, element_text, {}).violations
+        element_violations = [h for h in homs if not h.apply(element).is_zero()]
         element_part = {
             "element": element_text,
             "element_killed_by_all": not element_violations,

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import InvalidArgumentError, NotZeroDimensionalError, VariableMismatchError
 from .polycore import Monomial, MonomialOrder, Polynomial
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -118,7 +119,7 @@ def _reduce(p: Polynomial, reducers, key) -> Polynomial:
         factor = work[mono] / g.terms[lm]
         for gm, gc in g.terms.items():
             target = gm * shift
-            s = work.get(target, Fraction(0)) - factor * gc
+            s = work.get(target, ZERO) - factor * gc
             if s == 0:
                 work.pop(target, None)
             else:

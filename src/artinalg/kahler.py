@@ -27,10 +27,10 @@ AlgebraMap: it sums h(a_j) * d(h(X_j)) in the target's ambient
 coordinates (`_times` of `partials`) and reduces once, which gives the
 same class because the relations span a submodule.
 
-H0_dR is the kernel of the matrix of d (`_d_matrix`), and the embedding
-obstruction H0_dR ∩ nilradical the kernel of that matrix stacked on the
-one row of the trace functional (`algebra._trace_row`), whose kernel is
-the maximal ideal of a local algebra over Q.
+H0_dR is the kernel of the matrix of d (`_d_matrix`, one per algebra), and
+the embedding obstruction H0_dR ∩ nilradical the kernel of that matrix
+stacked on the one row of the trace functional (`algebra._trace_row`),
+whose kernel is the maximal ideal of a local algebra over Q.
 """
 
 from __future__ import annotations
@@ -210,10 +210,11 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     return target_module.form_from_ambient(out)
 
 
-def _d_matrix(algebra: ArtinAlgebra) -> list:
+@_per_algebra
+def _d_matrix(algebra: ArtinAlgebra) -> tuple:
     """The matrix of d : A -> Omega_A: a column per basis element of A."""
     km = kahler_module(algebra)
-    return list(zip(*(km.d(algebra.basis_element(i)).coords for i in range(algebra.dim))))
+    return tuple(zip(*(km.d(algebra.basis_element(i)).coords for i in range(algebra.dim))))
 
 
 @_per_algebra
@@ -231,4 +232,4 @@ def embedding_obstruction(algebra: ArtinAlgebra) -> Subspace:
     principal ideal algebra.
     """
     _require_local(algebra, "embedding obstruction needs a local algebra over Q")
-    return _kernel_subspace(algebra, _d_matrix(algebra) + [_trace_row(algebra)])
+    return _kernel_subspace(algebra, [*_d_matrix(algebra), _trace_row(algebra)])

@@ -165,7 +165,3 @@ def invert_matrix(rows):
     if len(red) != n or pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def mat_vec(rows, vec):
-    return [sum((a * b for a, b in zip(row, vec)), ZERO) for row in rows]

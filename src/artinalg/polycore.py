@@ -10,13 +10,17 @@ Text form: terms joined by `+`/`-`, each term an optional rational
 coefficient followed by `*`-separated powers `VAR^k` (k >= 1, `^1` may be
 omitted).  Whitespace is insignificant.  `parse_polynomial` and
 `Polynomial.to_string` are mutually inverse on canonical forms.
+
+Each datum has one reader: a value becomes a `Fraction` only in `_fraction`
+(and the parser), an exponent or integer argument passes `_is_integer` (an
+int, never a bool), and arithmetic builds monomials with `Monomial._raw`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from operator import index
+from operator import add, sub
 
 from .errors import (
     InvalidArgumentError,
@@ -29,10 +33,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule: an int, and a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_integer(value, name: str, minimum: int | None = None) -> None:
-    """Raise InvalidArgumentError unless `value` is an int (a bool is not),
-    and at least `minimum` if one is given."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Raise InvalidArgumentError unless `value` passes `_is_integer`, and
+    is at least `minimum` if one is given."""
+    if not _is_integer(value):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
@@ -44,8 +53,16 @@ def _fraction(value) -> Fraction:
         return value
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InvalidArgumentError(f"cannot read the coordinate {value!r}") from None
+
+
+def _sequence(values, what: str) -> tuple:
+    """The values as a tuple; InvalidArgumentError naming them when they are no sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be a sequence, got {values!r}") from None
 
 
 def _reject_operand(left, right):
@@ -61,14 +78,20 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        # `index` rejects a non-integer at C speed: this runs per monomial product
-        try:
-            exps = tuple(map(index, exps))
-        except TypeError:
-            raise InvalidArgumentError(f"exponents must be integers, got {exps!r}") from None
-        if any(e < 0 for e in exps):
-            raise InvalidArgumentError(f"negative exponent in {exps}")
+        """Exponents by `_is_integer`, each at least 0; an error names `exps` as given."""
+        checked = _sequence(exps, "exponents")
+        if not all(map(_is_integer, checked)):
+            raise InvalidArgumentError(f"exponents must be integers, got {exps!r}")
+        if any(e < 0 for e in checked):
+            raise InvalidArgumentError(f"negative exponent in {exps!r}")
+        self.exps = checked
+
+    @classmethod
+    def _raw(cls, exps: tuple) -> "Monomial":
+        """Internal constructor; exps must already be a tuple of ints >= 0."""
+        self = object.__new__(cls)
         self.exps = exps
+        return self
 
     @property
     def degree(self) -> int:
@@ -78,17 +101,17 @@ class Monomial:
         return all(e == 0 for e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+        return Monomial._raw(tuple(map(add, self.exps, other.exps)))
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other; caller guarantees divisibility."""
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
+        return Monomial._raw(tuple(map(sub, self.exps, other.exps)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
+        return Monomial._raw(tuple(map(max, self.exps, other.exps)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -185,14 +208,17 @@ class Polynomial:
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction]):
         self.variables = tuple(variables)
         clean = {}
-        for mono, coeff in terms.items():
-            if len(mono.exps) != len(self.variables):
-                raise VariableMismatchError(
-                    f"monomial {mono} has wrong arity for {self.variables}"
-                )
-            c = Fraction(coeff)
-            if c != 0:
-                clean[mono] = c
+        try:
+            for mono, coeff in terms.items():
+                if len(mono.exps) != len(self.variables):
+                    raise VariableMismatchError(
+                        f"monomial {mono} has wrong arity for {self.variables}"
+                    )
+                c = _fraction(coeff)
+                if c:
+                    clean[mono] = c
+        except AttributeError:
+            raise InvalidArgumentError(f"terms must map Monomials to rationals, got {terms!r}") from None
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -204,7 +230,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
         one = Monomial((0,) * len(tuple(variables)))
-        return cls(variables, {one: Fraction(value)})
+        return cls(variables, {one: value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
@@ -217,7 +243,7 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, variables: Sequence[str], mono: Monomial, coeff=ONE) -> "Polynomial":
-        return cls(variables, {mono: Fraction(coeff)})
+        return cls(variables, {mono: coeff})
 
     # -- predicates ----------------------------------------------------
 
@@ -295,7 +321,7 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == 1:
             return self
-        return self.scale(Fraction(1) / lc)
+        return self.scale(ONE / lc)
 
     def sorted_terms(self, order: MonomialOrder | None = None):
         """Terms from largest to smallest monomial."""
@@ -317,7 +343,7 @@ class Polynomial:
                 continue
             exps = list(mono.exps)
             exps[i] = e - 1
-            terms[Monomial(exps)] = c * e
+            terms[Monomial._raw(tuple(exps))] = c * e
         return Polynomial(self.variables, terms)
 
     # -- equality and text ----------------------------------------------------
@@ -387,10 +413,10 @@ def check_variables(variables: Sequence[str]) -> tuple:
     """The variables as a tuple, each a distinct name the parser can read.
 
     A name is what `_tokenize` reads as one: a letter or `_`, then letters,
-    digits or `_`.  Raises InvalidArgumentError naming the first variable
-    that is not a name or is listed twice.
+    digits or `_`.  Raises InvalidArgumentError naming variables that are no
+    sequence, or the first variable that is not a name or is listed twice.
     """
-    variables = tuple(variables)
+    variables = _sequence(variables, "variables")
     for i, name in enumerate(variables):
         starts = isinstance(name, str) and (name[:1].isalpha() or name[:1] == "_")
         if not (starts and all(ch.isalnum() or ch == "_" for ch in name)):
@@ -408,7 +434,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """
     if not isinstance(text, str):
         raise InvalidArgumentError(f"polynomial text must be a string, got {text!r}")
-    variables = tuple(variables)
+    variables = _sequence(variables, "variables")
     index = {name: i for i, name in enumerate(variables)}
     tokens = _tokenize(text)
     pos = 0

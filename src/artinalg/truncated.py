@@ -39,7 +39,7 @@ from .errors import (
     RelationViolatedError,
 )
 from .groebner import GroebnerBasis, StandardMonomialBasis
-from .polycore import Monomial, MonomialOrder, Polynomial, _fraction, _require_integer
+from .polycore import Monomial, MonomialOrder, Polynomial, _fraction, _require_integer, _sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -104,9 +104,12 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
         return out
 
     def t_power(self, exponent: int, coefficient=ONE) -> AlgebraElement:
+        """coefficient * t^exponent, zero when the exponent exceeds N."""
+        _require_integer(exponent, "the exponent of t", 0)
+        c = _fraction(coefficient)
         coeffs = [ZERO] * (self.truncation + 1)
-        if 0 <= exponent <= self.truncation:
-            coeffs[exponent] = _fraction(coefficient)
+        if exponent <= self.truncation:
+            coeffs[exponent] = c
         return AlgebraElement._raw(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs: Iterable) -> AlgebraElement:
@@ -257,7 +260,7 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
     """
     target = TruncatedPolyAlgebra(truncation)
     normalized = []
-    for img in images:
+    for img in _sequence(images, "images"):
         if isinstance(img, AlgebraElement):
             normalized.append(img)
         elif isinstance(img, Polynomial):

@@ -39,7 +39,7 @@ from artinalg.errors import (
 from artinalg.berger import omega_witness, q_algebra
 from artinalg.kahler import DifferentialForm, h0_de_rham, kahler_module
 from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
-from artinalg.truncated import TruncatedPolyAlgebra, TruncValue
+from artinalg.truncated import TruncatedPolyAlgebra, TruncValue, make_hom
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import brute_force_nilpotent, random_element, random_zero_dim_gens
 
@@ -593,6 +593,20 @@ class TestLibraryArgumentErrors:
             (lambda: _X().scale("a"), "'a'"),
             (lambda: q_algebra(2).from_string(1), "got 1"),
             (lambda: build_algebra(("X",), [1]), "got 1"),
+            (lambda: Monomial((True, 0)), "(True, 0)"),
+            (lambda: Monomial((1, False)), "(1, False)"),
+            (lambda: Polynomial.constant(("X",), "a"), "'a'"),
+            (lambda: Polynomial(("X",), {Monomial((1,)): None}), "None"),
+            (lambda: Polynomial.from_monomial(("X",), Monomial((1,)), float("inf")), "inf"),
+            (lambda: _X().scale(float("inf")), "inf"),
+            (lambda: TruncatedPolyAlgebra(4).t_power(1.5), "1.5"),
+            (lambda: TruncatedPolyAlgebra(4).t_power(-1), "-1"),
+            (lambda: TruncatedPolyAlgebra(4).t_power(True), "True"),
+            (lambda: TruncatedPolyAlgebra(4).t_power(9, "b"), "'b'"),
+            (lambda: build_algebra(0, ["X^2"]), "got 0"),
+            (lambda: build_algebra(("X",), None), "got None"),
+            (lambda: make_hom(q_algebra(2), 5, 7), "got 7"),
+            (lambda: parse_polynomial("X", None), "got None"),
         ],
         ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "valuation",
              "subspace-owner", "subspace-coordinate", "monomial-float", "monomial-str",
@@ -602,7 +616,10 @@ class TestLibraryArgumentErrors:
              "int-minus-element", "element-plus-polynomial", "element-scale-str",
              "int-times-form", "form-scale-str", "polynomial-times-int", "polynomial-plus-int",
              "int-times-polynomial", "polynomial-minus-none", "polynomial-scale-str",
-             "from-string-int", "build-int-generator"],
+             "from-string-int", "build-int-generator", "monomial-bool", "monomial-bool-last",
+             "constant-str", "coefficient-none", "from-monomial-inf", "scale-inf", "t-power-float",
+             "t-power-negative", "t-power-bool", "t-power-beyond-str", "build-variables-int", "build-gens-none",
+             "make-hom-images-int", "parse-variables-none"],
     )
     def test_invalid_argument(self, call, named):
         with pytest.raises(InvalidArgumentError, match=re.escape(named)):

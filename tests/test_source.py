@@ -8,6 +8,11 @@
 - Every module, `__init__.py` included, imports only the standard
   library and artinalg, at any depth.  The package has no runtime
   dependencies: `sympy`, `numpy` and `mpmath` are test oracles only.
+- A value becomes a `Fraction` in one place: `polycore._fraction` (and
+  `parse_polynomial`, which reads digits).  Anywhere else `Fraction` may
+  be called only on literal arguments, as in `ZERO = Fraction(0)`, or
+  named in an annotation; passing it as a callable (`map(Fraction, ...)`)
+  or calling it on a variable is a second rational reader.
 """
 
 import ast
@@ -96,3 +101,62 @@ def test_a_nested_third_party_import_is_foreign():
         "    from sympy import Matrix\n"
     )
     assert foreign_imports(tree) == {"numpy", "sympy"}
+
+
+#: the scopes, by module, that may turn a value into a Fraction
+RATIONAL_READERS = {"polycore.py": {"_fraction", "parse_polynomial"}}
+
+
+def _is_literal(node) -> bool:
+    """A constant, or a negated one."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
+def fraction_readers(tree):
+    """The qualified scope of every use of the name `Fraction` that is neither
+    a call on literal arguments nor part of an annotation, in source order."""
+    in_annotation = {id(node) for a in annotations_of(tree) for node in ast.walk(a)}
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and not node.keywords
+            and all(map(_is_literal, node.args))
+        ):
+            return
+        if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in in_annotation:
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_only_the_one_reader_makes_a_fraction(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = RATIONAL_READERS.get(path.name, set())
+    assert [scope for scope in fraction_readers(tree) if scope.split(".")[0] not in allowed] == []
+
+
+def test_a_fraction_of_a_variable_or_as_a_callable_is_a_reader():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "ZERO, HALF, MINUS = Fraction(0), Fraction(1, 2), Fraction(-1)\n"
+        "def f(x) -> Fraction:\n"
+        "    return Fraction(x)\n"
+        "class C:\n"
+        "    def g(self, xs: 'list[Fraction]'):\n"
+        "        return tuple(map(Fraction, xs))\n"
+        "    def h(self):\n"
+        "        return Fraction('1/3') + Fraction(2)\n"
+    )
+    assert fraction_readers(tree) == ["f", "C.g"]
