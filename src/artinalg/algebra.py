@@ -118,9 +118,9 @@ class Subspace:
         return f"<Subspace dim {self.dim} of ambient {self.ambient_dim}>"
 
 
-def _fractions(values) -> tuple:
-    """Rational coordinates, each read by `_fraction`."""
-    return tuple(map(_fraction, _sequence(values, "coordinates")))
+def _fractions(values, what: str = "coordinates") -> tuple:
+    """Rational coordinates, each read by `_fraction`; errors name them as `what`."""
+    return tuple(map(_fraction, _sequence(values, what)))
 
 
 class CoordinateVector:
@@ -551,10 +551,13 @@ class AlgebraMap:
 
 def _per_algebra(fn):
     """Computed once per algebra: fn(algebra) is kept in the algebra's
-    `_invariants`, and later calls return that same object."""
+    `_invariants`, and later calls return that same object.  Anything but
+    an ArtinAlgebra is an InvalidArgumentError."""
 
     @wraps(fn)
     def once(algebra):
+        if not isinstance(algebra, ArtinAlgebra):
+            raise InvalidArgumentError(f"expected an ArtinAlgebra, got {algebra!r}")
         memo = algebra._invariants
         if fn not in memo:
             memo[fn] = fn(algebra)

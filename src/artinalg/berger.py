@@ -24,7 +24,8 @@ The operations here assemble evidence objects:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from itertools import groupby
+from operator import attrgetter, mul
 
 from . import linalg
 from .algebra import (
@@ -122,8 +123,17 @@ def _image_rank(algebra: ArtinAlgebra, hom: TruncatedHom, degree: int) -> int:
 
 
 def _is_single_term(hom: TruncatedHom) -> bool:
-    """Does every variable image have at most one nonzero coefficient?"""
-    return all(sum(1 for c in img.coords if c) <= 1 for img in hom.images)
+    """Does every variable image have at most one nonzero coefficient, its lead?"""
+    return not any(any(img.coords[o + 1:]) for img, o in zip(hom.images, hom.image_orders()))
+
+
+def _scan_order(homs) -> list:
+    """The homs by (gen_seq, key()); key() is read only where gen_seq ties."""
+    ordered = []
+    for _, tied in groupby(sorted(homs, key=attrgetter("gen_seq")), attrgetter("gen_seq")):
+        tied = list(tied)
+        ordered += sorted(tied, key=TruncatedHom.key) if len(tied) > 1 else tied
+    return ordered
 
 
 def _rank_bounds(rows, orders, truncation: int, single_term: bool):
@@ -173,25 +183,35 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     with the strongest witness found.  Degree one is always achieved
     through the canonical quadratic-kill hom.
 
-    Ranks come from valuations (`_rank_bounds`): a degree is skipped when
-    its bound hi cannot beat the current witness, takes lo when the bounds
-    agree, and is row-reduced only otherwise.  `reverify` rechecks every
-    stored rank by elimination.  Raises IncompatibleAlgebrasError for a
-    family member that is not a TruncatedHom of the algebra.
+    The scan takes the degree-one witness, then the family by
+    (gen_seq, key()) whatever its input order; key() is read only where
+    gen_seq ties (-1 for a hom built outside a search).  Ranks come from
+    valuations (`_rank_bounds`): a degree is skipped when its bound hi
+    cannot beat the current witness, takes lo when the bounds agree, and
+    is row-reduced only otherwise.  A single-term hom's ranks are fixed by
+    (image_orders(), N), so it is skipped whole when an earlier single-term
+    hom had the same pair; any other hom is scanned.  `reverify` rechecks
+    every stored rank by elimination.  Raises IncompatibleAlgebrasError
+    for a family member that is not a TruncatedHom of the algebra.
     """
     homs = _homs_of(algebra, homs, TruncatedHom)
     info = _require_graded(algebra, "critical degree needs a standard graded algebra")
     if is_principal_ideal_algebra(algebra):
         raise PrincipalAlgebraError("critical degree is undefined for principal algebras")
     n = info.nilpotency_index
-    scan = [degree_one_witness_hom(algebra), *sorted(homs, key=lambda h: (h.gen_seq, h.key()))]
+    scan = [degree_one_witness_hom(algebra), *_scan_order(homs)]
 
     exponents = [
         [algebra.basis[i].exps for i in algebra.degree_indices(degree)] for degree in range(1, n + 1)
     ]
     witnesses: dict[int, DegreeWitness] = {}
+    single_profiles = set()
     for hom in scan:
         orders, cap, single = hom.image_orders(), hom.truncation, _is_single_term(hom)
+        if single:
+            if (orders, cap) in single_profiles:
+                continue
+            single_profiles.add((orders, cap))
         for degree, rows in enumerate(exponents, 1):
             current = witnesses.get(degree)
             best = 1 if current is None else current.rank

@@ -49,7 +49,7 @@ from .algebra import (
     _require_local,
     _trace_row,
 )
-from .errors import IncompatibleAlgebrasError
+from .errors import IncompatibleAlgebrasError, InvalidArgumentError
 from .polycore import Monomial, Polynomial
 
 ZERO = Fraction(0)
@@ -184,6 +184,9 @@ def kahler_module(algebra: ArtinAlgebra) -> KahlerModule:
 
 
 def d(element: AlgebraElement) -> DifferentialForm:
+    """d(element) in its algebra's module; InvalidArgumentError for a non-element."""
+    if not isinstance(element, AlgebraElement):
+        raise InvalidArgumentError(f"expected an AlgebraElement, got {element!r}")
     return kahler_module(element.algebra).d(element)
 
 

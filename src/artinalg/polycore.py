@@ -58,7 +58,10 @@ def _fraction(value) -> Fraction:
 
 
 def _sequence(values, what: str) -> tuple:
-    """The values as a tuple; InvalidArgumentError naming them when they are no sequence."""
+    """The values as a tuple; InvalidArgumentError naming them when they are no
+    sequence or a `str`, whose characters would otherwise pass one by one."""
+    if isinstance(values, str):
+        raise InvalidArgumentError(f"{what} must be a sequence, got the string {values!r}")
     try:
         return tuple(values)
     except TypeError:

@@ -385,7 +385,9 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
     single-term groups set, are computed once per profile; only groups in
     which terms share a degree below that bound, and so may cancel, are
     evaluated with Fractions for each coefficient tuple, lowest degree
-    first.
+    first.  Images are cut from one zero tuple per candidate, and
+    `image_orders` is set from the profile (N+1 for an exponent above N or
+    a zero coefficient): the pool and the profile need no second reading.
     """
     nvars = len(algebra.variables)
     sure_singles = all(pool)
@@ -397,10 +399,17 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
                 yield None
                 continue
             target = TruncatedPolyAlgebra(n)
-            images = tuple(
-                target.t_power(e, c) for e, c in zip(profile, coeffs)
-            )
-            yield TruncatedHom(algebra, target, images, verify=False)
+            zeros, images, orders = (ZERO,) * (n + 1), [], []
+            for e, c in zip(profile, coeffs):
+                if e <= n and c:
+                    images.append(AlgebraElement._raw(target, zeros[:e] + (c,) + zeros[e + 1:]))
+                    orders.append(e)
+                else:
+                    images.append(AlgebraElement._raw(target, zeros))
+                    orders.append(n + 1)
+            hom = TruncatedHom(algebra, target, images, verify=False)
+            hom._orders = tuple(orders)
+            yield hom
 
 
 def _dense_random_stream(algebra, n_max, pool, seed, user_images):
@@ -467,7 +476,9 @@ def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
         raise InvalidArgumentError("the user strategy needs images")
     if any(b < 0 for b in budgets.values()):
         raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
-    pool = DEFAULT_COEFF_POOL if coefficient_pool is None else _fractions(coefficient_pool)
+    pool = DEFAULT_COEFF_POOL
+    if coefficient_pool is not None:
+        pool = _fractions(coefficient_pool, "the coefficient pool")
     if not pool and {"monomial", "dense-random"} & set(strategies):
         raise InvalidArgumentError("the coefficient pool is empty")
     return strategies, budgets, pool
@@ -529,13 +540,17 @@ def _sorted_by_key(homs):
     Every coefficient times the common denominator of all of them is an
     integer, and that scaling keeps their order.  Homs of one N have
     images of one length, so the flat tuple (N, scaled coefficients...)
-    orders them as `key()` does.
+    orders them as `key()` does.  The search streams fill their images
+    with the module's ZERO, so most coefficients are read as 0 by identity.
     """
     homs = list(homs)
-    scale = math.lcm(*{c.denominator for h in homs for img in h.images for c in img.coords})
+    scale = math.lcm(*{
+        c.denominator for h in homs for img in h.images for c in img.coords if c is not ZERO
+    })
     return sorted(
         homs,
         key=lambda h: (h.truncation, *(
-            c.numerator * (scale // c.denominator) for img in h.images for c in img.coords
+            0 if c is ZERO else c.numerator * (scale // c.denominator)
+            for img in h.images for c in img.coords
         )),
     )

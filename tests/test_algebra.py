@@ -39,7 +39,7 @@ from artinalg.errors import (
 from artinalg.berger import omega_witness, q_algebra
 from artinalg.kahler import DifferentialForm, h0_de_rham, kahler_module
 from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
-from artinalg.truncated import TruncatedPolyAlgebra, TruncValue, make_hom
+from artinalg.truncated import TruncatedPolyAlgebra, TruncValue, make_hom, search_homs
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import brute_force_nilpotent, random_element, random_zero_dim_gens
 
@@ -607,6 +607,10 @@ class TestLibraryArgumentErrors:
             (lambda: build_algebra(("X",), None), "got None"),
             (lambda: make_hom(q_algebra(2), 5, 7), "got 7"),
             (lambda: parse_polynomial("X", None), "got None"),
+            (lambda: TruncatedPolyAlgebra(3).from_coeffs("12"), "got the string '12'"),
+            (lambda: build_algebra("XY", ["X^2", "X*Y", "Y^2"]), "got the string 'XY'"),
+            (lambda: search_homs(q_algebra(2), 4, budget=50, coefficient_pool="12"),
+             "the coefficient pool must be a sequence, got the string '12'"),
         ],
         ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "valuation",
              "subspace-owner", "subspace-coordinate", "monomial-float", "monomial-str",
@@ -619,7 +623,8 @@ class TestLibraryArgumentErrors:
              "from-string-int", "build-int-generator", "monomial-bool", "monomial-bool-last",
              "constant-str", "coefficient-none", "from-monomial-inf", "scale-inf", "t-power-float",
              "t-power-negative", "t-power-bool", "t-power-beyond-str", "build-variables-int", "build-gens-none",
-             "make-hom-images-int", "parse-variables-none"],
+             "make-hom-images-int", "parse-variables-none", "from-coeffs-str", "build-variables-str",
+             "pool-str"],
     )
     def test_invalid_argument(self, call, named):
         with pytest.raises(InvalidArgumentError, match=re.escape(named)):

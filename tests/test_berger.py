@@ -509,6 +509,45 @@ class TestScanEquivalence:
         assert bool(eliminations) == (name == "m4")
         assert report.reverify(A)
 
+    def test_a_repeated_profile_is_skipped_only_after_a_single_term_hom(self):
+        # both homs have orders (1, 1) at N = 3; only the second, which is
+        # not single-term, keeps the degree-2 component of rank 2
+        A = ORACLE_ALGEBRAS["m4"]
+        homs = [make_hom(A, 3, ["t", "t"]), make_hom(A, 3, ["t", "t + t^2"])]
+        for seq, hom in enumerate(homs):
+            hom.gen_seq = seq
+        assert homs[0].image_orders() == homs[1].image_orders() == (1, 1)
+        report = critical_degree_search(A, homs)
+        assert report.degrees_achieved == (1, 2)
+        assert report.witnesses[2].hom is homs[1] and report.witnesses[2].rank == 2
+        assert report.to_record() == reference_scan(A, homs).to_record()
+        assert report.reverify(A)
+
+    @pytest.mark.parametrize("name", ["q3", "m4"])
+    def test_key_order_and_discovery_order_give_one_report(self, monkeypatch, name):
+        A = ORACLE_ALGEBRAS[name]
+        in_key_order = both_strategies(A, 12, 600)
+        discovered = sorted(in_key_order, key=lambda h: h.gen_seq)
+        assert discovered != in_key_order
+        key, read = TruncatedHom.key, []
+        monkeypatch.setattr(TruncatedHom, "key", lambda h: read.append(h) or key(h))
+        records = [critical_degree_search(A, homs).to_record() for homs in (in_key_order, discovered)]
+        monkeypatch.undo()
+        # distinct gen_seq values: the scan order reads no key()
+        assert read == []
+        assert records[0] == records[1] == reference_scan(A, in_key_order).to_record()
+
+    def test_tied_gen_seq_is_scanned_in_key_order(self):
+        # user-built homs all have gen_seq -1; both keep the degree-2
+        # component at rank 2, so the first one scanned is the witness
+        A = ORACLE_ALGEBRAS["m4"]
+        first, second = make_hom(A, 3, ["t", "t + t^2"]), make_hom(A, 3, ["t", "t + 2*t^2"])
+        assert first.gen_seq == second.gen_seq == -1 and first.key() < second.key()
+        for family in ([first, second], [second, first]):
+            report = critical_degree_search(A, family)
+            assert report.witnesses[2].hom is first
+            assert report.to_record() == reference_scan(A, family).to_record()
+
     # sha256 of the canonical JSON of to_record(), pinned from the
     # elimination-only scan that preceded the valuation rule
     @pytest.mark.parametrize(

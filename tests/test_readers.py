@@ -8,9 +8,9 @@ every value of WRONG in the one position it reads; the other arguments
 are valid.  A value that the reader's rule accepts (a float is an exact
 rational, `None` is the infinite valuation, an empty coordinate list a
 zero element) must give the documented type; anything else must raise
-an ArtinalgError.  Arguments that take an algebra, an element or a form
-as such (`nilradical(A)`, `d(a)`) are not readers of a datum and are
-not swept here.
+an ArtinalgError.  The functions that take an algebra or an element as
+such (`nilradical(A)`, `d(a)`) are swept the same way.  A `str` is never
+read as the sequence of its characters.
 """
 
 import math
@@ -22,16 +22,23 @@ from artinalg import (
     AlgebraElement,
     ArtinAlgebra,
     ArtinalgError,
+    DifferentialForm,
+    KahlerModule,
     Monomial,
     Polynomial,
+    Subspace,
     TruncatedHom,
     TruncatedPolyAlgebra,
     TruncValue,
     build_algebra,
+    d,
+    kahler_module,
     make_hom,
+    nilradical,
     parse_polynomial,
     q_algebra,
     search_homs,
+    socle,
 )
 
 WRONG = {
@@ -104,6 +111,10 @@ READERS = [
     ("build_algebra-gen", lambda v: build_algebra(("X",), ["X^2", v]), ArtinAlgebra, False),
     ("parse_polynomial", lambda v: parse_polynomial(v, ("X",)), Polynomial, False),
     ("parse_polynomial-variables", lambda v: parse_polynomial("X", v), Polynomial, False),
+    ("nilradical", lambda v: nilradical(v), Subspace, False),
+    ("socle", lambda v: socle(v), Subspace, False),
+    ("kahler_module", lambda v: kahler_module(v), KahlerModule, False),
+    ("d", lambda v: d(v), DifferentialForm, False),
 ]
 
 CASES = [

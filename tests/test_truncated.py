@@ -696,6 +696,18 @@ class TestMonomialStream:
         got = [None if hom is None else hom.key() for hom in islice(stream, budget)]
         assert got == list(islice(reference_monomial_keys(A, n_max, pool), budget))
 
+    @pytest.mark.parametrize(
+        "presentation, n_max", [pytest.param(p, n, id=name) for name, p, n in INPUTS]
+    )
+    def test_orders_from_the_profile_equal_those_of_the_images(self, presentation, n_max):
+        # the stream sets image_orders() from the profile, N+1 for an
+        # exponent above N or a zero coefficient; make_hom reads the images
+        A = algebra_from_strings(*presentation)
+        stream = truncated._monomial_stream(A, n_max, (Fraction(0), Fraction(1)), 0, None)
+        homs = [hom for hom in islice(stream, 400) if hom is not None]
+        for hom in homs:
+            assert hom.image_orders() == make_hom(A, hom.truncation, hom.images).image_orders()
+
     def test_staircase_algebras_evaluate_no_group(self, monkeypatch):
         evaluated = []
         group_is_nonzero = truncated._group_is_nonzero
