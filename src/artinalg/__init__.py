@@ -82,7 +82,6 @@ from .polycore import (
 )
 from .truncated import (
     DEFAULT_COEFF_POOL,
-    TruncValue,
     TruncatedHom,
     TruncatedPolyAlgebra,
     make_hom,

@@ -123,6 +123,14 @@ def _fractions(values, what: str = "coordinates") -> tuple:
     return tuple(map(_fraction, _sequence(values, what)))
 
 
+def _foreign(value, kind):
+    """The error for a value found outside the space it must lie in:
+    IncompatibleAlgebrasError for a `kind` of another space, else InvalidArgumentError."""
+    if isinstance(value, kind):
+        return IncompatibleAlgebrasError(f"{kind.__name__} of another algebra")
+    return InvalidArgumentError(f"expected {kind.__name__}, got {value!r}")
+
+
 class CoordinateVector:
     """A vector of a finite-dimensional space over Q, by its coordinates.
 
@@ -516,8 +524,8 @@ class AlgebraMap:
         return self.evaluate_monomial(self.source.basis[i].exps)
 
     def apply(self, element: AlgebraElement):
-        if element.algebra is not self.source:
-            raise IncompatibleAlgebrasError("element not in the source algebra")
+        if getattr(element, "space", None) is not self.source:
+            raise _foreign(element, AlgebraElement)
         basis = self.source.basis
         return self._combine((basis[i].exps, c) for i, c in enumerate(element.coords) if c)
 
@@ -557,7 +565,7 @@ def _per_algebra(fn):
     @wraps(fn)
     def once(algebra):
         if not isinstance(algebra, ArtinAlgebra):
-            raise InvalidArgumentError(f"expected an ArtinAlgebra, got {algebra!r}")
+            raise _foreign(algebra, ArtinAlgebra)
         memo = algebra._invariants
         if fn not in memo:
             memo[fn] = fn(algebra)
@@ -689,6 +697,8 @@ def graded_component_span(algebra: ArtinAlgebra, degree: int) -> Subspace:
 def euler_derivation(algebra: ArtinAlgebra, element: AlgebraElement) -> AlgebraElement:
     """D(a) = sum over degrees d of d * (degree-d component of a)."""
     _require_graded(algebra, "Euler derivation needs a standard graded algebra")
+    if getattr(element, "space", None) is not algebra:
+        raise _foreign(element, AlgebraElement)
     coords = [c * deg for c, deg in zip(element.coords, algebra.degrees)]
     return AlgebraElement(algebra, coords)
 
@@ -704,8 +714,10 @@ def quotient_algebra(algebra: ArtinAlgebra, extra_gens):
     Accepts AlgebraElements, Polynomials or strings; re-runs Buchberger
     on the enlarged generating set.
     """
+    if not isinstance(algebra, ArtinAlgebra):
+        raise _foreign(algebra, ArtinAlgebra)
     polys = []
-    for g in extra_gens:
+    for g in _sequence(extra_gens, "the extra generators"):
         if isinstance(g, AlgebraElement):
             if g.algebra is not algebra:
                 raise IncompatibleAlgebrasError("extra generator from another algebra")

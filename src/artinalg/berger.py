@@ -33,6 +33,7 @@ from .algebra import (
     AlgebraMap,
     ArtinAlgebra,
     _Record,
+    _foreign,
     _require_graded,
     build_algebra,
     is_principal_ideal_algebra,
@@ -47,7 +48,7 @@ from .errors import (
     WitnessInsufficientError,
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
-from .polycore import _require_integer
+from .polycore import _require_integer, _sequence
 from .truncated import TruncatedHom, make_hom, triangularize
 
 ZERO = Fraction(0)
@@ -111,7 +112,7 @@ class CriticalDegreeReport(_Record):
 def _homs_of(algebra: ArtinAlgebra, homs, kind=AlgebraMap) -> list:
     """The family as a list; IncompatibleAlgebrasError for the first member
     that is not a `kind` with source `algebra`."""
-    homs = list(homs)
+    homs = list(_sequence(homs, "the hom family"))
     for hom in homs:
         if not isinstance(hom, kind) or hom.source is not algebra:
             raise IncompatibleAlgebrasError(f"not a {kind.__name__} from the algebra: {hom!r}")
@@ -270,13 +271,15 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
     isomorphism.  A failed check is recorded in the result, not raised.
     """
     _require_graded(algebra, "staircase surjection needs a standard grading")
+    if not isinstance(hom, TruncatedHom) or hom.source is not algebra:
+        raise _foreign(hom, TruncatedHom)
     if _image_rank(algebra, hom, r) < 2:
         raise WitnessInsufficientError(
             f"hom keeps the degree-{r} component below dimension 2"
         )
     degree_one = [algebra.basis_element(i) for i in algebra.degree_indices(1)]
     staircase = triangularize(hom, degree_one)
-    finite = [e for e in staircase if not hom.valuation(e).is_infinite]
+    finite = [e for e in staircase if hom.valuation(e) <= hom.truncation]
     if len(finite) < 2:
         raise WitnessInsufficientError("fewer than two finite valuations in degree one")
     x, y = staircase[0], staircase[1]
@@ -339,6 +342,8 @@ def omega_witness(algebra: ArtinAlgebra, x: AlgebraElement, y: AlgebraElement, r
     _require_integer(r, "r", 1)
     _require_graded(algebra, "witness form needs a standard grading")
     for e in (x, y):
+        if getattr(e, "space", None) is not algebra:
+            raise _foreign(e, AlgebraElement)
         if any(
             c != 0 and d != 1 for c, d in zip(e.coords, algebra.degrees)
         ):
@@ -419,8 +424,8 @@ def tau_membership_check(
     """
     homs = _homs_of(algebra, homs)
     km = kahler_module(algebra)
-    if omega.module is not km:
-        raise IncompatibleAlgebrasError("form does not live over the given algebra")
+    if getattr(omega, "space", None) is not km:
+        raise _foreign(omega, DifferentialForm)
     certificate = {"reduced_coordinates_nonzero": not omega.is_zero()}
     if certificate_map is not None:
         image = pushforward(certificate_map, omega)

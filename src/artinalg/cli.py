@@ -51,7 +51,7 @@ from .berger import (
 from .errors import AlgebraFileError, ArtinalgError
 from .kahler import embedding_obstruction, h0_de_rham, kahler_module
 from .polycore import check_variables, parse_polynomial
-from .truncated import TruncValue, _search_settings, make_hom, search_homs
+from .truncated import _search_settings, make_hom, search_homs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -202,9 +202,9 @@ def cmd_homs(args) -> tuple[dict, int]:
     homs = _search(algebra, args, verify_images=True)
     records = []
     for hom in homs:
-        # a verified hom sends each variable to its image
-        valuations = {name: str(TruncValue(hom.target.t_order(img)))
-                      for name, img in zip(algebra.variables, hom.images)}
+        # a verified hom sends each variable to its image; "oo" is an order past N
+        valuations = {name: str(o) if o <= hom.truncation else "oo"
+                      for name, o in zip(algebra.variables, hom.image_orders())}
         records.append({**hom.to_record(), "variable_valuations": valuations})
     results = {"count": len(homs), "homs": records}
     return _report("homs", args, variables, gens, results), EXIT_OK

@@ -44,12 +44,13 @@ from .algebra import (
     ArtinAlgebra,
     CoordinateVector,
     Subspace,
+    _foreign,
     _kernel_subspace,
     _per_algebra,
     _require_local,
     _trace_row,
 )
-from .errors import IncompatibleAlgebrasError, InvalidArgumentError
+from .errors import IncompatibleAlgebrasError
 from .polycore import Monomial, Polynomial
 
 ZERO = Fraction(0)
@@ -141,8 +142,8 @@ class KahlerModule:
     def partials(self, element: AlgebraElement) -> list:
         """The ambient vector of d(element), unreduced: the blocks
         da/dX_1, ..., da/dX_m, with no normal form (see the module docstring)."""
-        if element.algebra is not self.algebra:
-            raise IncompatibleAlgebrasError("element of a different algebra")
+        if getattr(element, "space", None) is not self.algebra:
+            raise _foreign(element, AlgebraElement)
         coords = element.coords
         vec = [ZERO] * self.ambient_dim
         for i, slot, e in self._derivative_terms:
@@ -156,10 +157,10 @@ class KahlerModule:
 
     def act(self, element: AlgebraElement, form: DifferentialForm) -> DifferentialForm:
         """Module action a * omega, through `_times`."""
-        if element.algebra is not self.algebra:
-            raise IncompatibleAlgebrasError("element of a different algebra")
-        if form.module is not self:
-            raise IncompatibleAlgebrasError("form over a different module")
+        if getattr(element, "space", None) is not self.algebra:
+            raise _foreign(element, AlgebraElement)
+        if getattr(form, "space", None) is not self:
+            raise _foreign(form, DifferentialForm)
         ambient = self.ambient_representative(form)
         return self.form_from_ambient(self._times(element.coords, ambient))
 
@@ -186,7 +187,7 @@ def kahler_module(algebra: ArtinAlgebra) -> KahlerModule:
 def d(element: AlgebraElement) -> DifferentialForm:
     """d(element) in its algebra's module; InvalidArgumentError for a non-element."""
     if not isinstance(element, AlgebraElement):
-        raise InvalidArgumentError(f"expected an AlgebraElement, got {element!r}")
+        raise _foreign(element, AlgebraElement)
     return kahler_module(element.algebra).d(element)
 
 
@@ -196,6 +197,8 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     The result is a form of the target's module.  Satisfies
     pushforward(h, d(a)) = d(h(a)).
     """
+    if not isinstance(form, DifferentialForm):
+        raise _foreign(form, DifferentialForm)
     module = form.module
     source = module.algebra
     if not isinstance(hom, AlgebraMap) or hom.source is not source:

@@ -9,10 +9,11 @@ A homomorphism from a quotient algebra into a truncated ring is a
 `TruncatedHom`: an `algebra.AlgebraMap`, stored by the images of the
 source variables and verified the same way, plus what reads the truncated
 target (truncation, valuation, the search key and report records).  The
-associated truncated valuation of an element is the t-order of its image, with
-infinity on the kernel.  Valuations take values in {0, ..., N, oo} whose
-addition saturates: sums exceeding the truncation bound are infinite,
-matching the fact that such products vanish in the ring.
+associated truncated valuation of an element is the t-order of its image.
+Valuations take values in the saturating monoid {0, ..., N, oo}, encoded as
+the ints 0..N+1 with N+1 for oo (the kernel): v(ab) = min(v(a) + v(b), N+1),
+matching the fact that products of order past N vanish in the ring, and
+`<` and `min` order the values as the monoid does.
 
 A note on one law: for these valuations v(a+b) >= min(v(a), v(b)); the
 reverse inequality sometimes quoted for classical valuations is not what
@@ -26,12 +27,11 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import total_ordering
 from itertools import islice, product as iter_product
 from numbers import Rational
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _fractions, _require_local
+from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _foreign, _fractions, _require_local
 from .errors import (
     DependentInputError,
     IncompatibleAlgebrasError,
@@ -118,68 +118,17 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
         coeffs += [ZERO] * (self.truncation + 1 - len(coeffs))
         return AlgebraElement._raw(self, tuple(coeffs))
 
-    def t_order(self, element: AlgebraElement) -> int | None:
-        """The least k with a nonzero t^k coefficient, None for zero.
+    def t_order(self, element: AlgebraElement) -> int:
+        """The least k with a nonzero t^k coefficient, N+1 for zero.
 
         An element is a unit exactly when its t-order is 0.
         """
         if element not in self:
             raise IncompatibleAlgebrasError("element of a different ring")
-        return next((k for k, c in enumerate(element.coords) if c), None)
+        return next((k for k, c in enumerate(element.coords) if c), self.truncation + 1)
 
     def __repr__(self):
         return f"<Q[t]/<t^{self.truncation + 1}>>"
-
-
-@total_ordering
-class TruncValue:
-    """A value in {0, 1, ..., N, oo} with saturating addition."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None):
-        if value is not None:
-            _require_integer(value, "a finite valuation", 0)
-        self.value = value
-
-    @classmethod
-    def infinity(cls) -> "TruncValue":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, value: int) -> "TruncValue":
-        _require_integer(value, "a finite valuation", 0)
-        return cls(value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def add(self, other: "TruncValue", cap: int) -> "TruncValue":
-        """Monoid addition saturating above the truncation bound."""
-        if self.is_infinite or other.is_infinite:
-            return TruncValue(None)
-        s = self.value + other.value
-        return TruncValue(None) if s > cap else TruncValue(s)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncValue) and self.value == other.value
-
-    def __lt__(self, other):
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.value < other.value
-
-    def __hash__(self):
-        return hash(("TruncValue", self.value))
-
-    def __str__(self):
-        return "oo" if self.is_infinite else str(self.value)
-
-    def __repr__(self):
-        return f"TruncValue({self})"
 
 
 class TruncatedHom(AlgebraMap):
@@ -203,13 +152,9 @@ class TruncatedHom(AlgebraMap):
         The image of x^a has t-order sum(a_i * orders[i]) whenever that sum
         is at most N (Q is a domain), and is zero otherwise.
         """
-        orders = self._orders
-        if orders is None:
-            cap = self.truncation + 1
-            orders = self._orders = tuple(
-                next((k for k, c in enumerate(img.coords) if c), cap) for img in self.images
-            )
-        return orders
+        if self._orders is None:
+            self._orders = tuple(map(self.target.t_order, self.images))
+        return self._orders
 
     def evaluate_monomial(self, exps: Sequence[int]):
         """The image of a monomial; zero without multiplying when the t-orders
@@ -228,8 +173,9 @@ class TruncatedHom(AlgebraMap):
     def truncation(self) -> int:
         return self.target.truncation
 
-    def valuation(self, element: AlgebraElement) -> TruncValue:
-        return TruncValue(self.target.t_order(self.apply(element)))
+    def valuation(self, element: AlgebraElement) -> int:
+        """The t-order of the element's image, N+1 on the kernel."""
+        return self.target.t_order(self.apply(element))
 
     def key(self):
         """Canonical sort/dedup key: (N, image coefficient tuples)."""
@@ -254,10 +200,12 @@ def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
 
     `images` entries may be elements of the target ring, coefficient
     sequences, polynomials in t, or strings like "t^2".  Raises
-    InvalidArgumentError for a truncation that is not an int >= 0 or
-    naming an entry that is none of these, and RelationViolatedError
+    InvalidArgumentError for a non-algebra, a truncation that is not an int
+    >= 0 or naming an entry that is none of these, and RelationViolatedError
     naming the first violated generator.
     """
+    if not isinstance(algebra, ArtinAlgebra):
+        raise _foreign(algebra, ArtinAlgebra)
     target = TruncatedPolyAlgebra(truncation)
     normalized = []
     for img in _sequence(images, "images"):
@@ -293,13 +241,10 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     remaining member whose image has that order; the pivot members are
     returned as taken, then the rest in input order.
     """
-    elements = list(elements)
-    if not elements:
-        return []
-    algebra = elements[0].algebra
+    elements = _sequence(elements, "elements")
     for e in elements:
-        if e.algebra is not algebra:
-            raise IncompatibleAlgebrasError("elements of different algebras")
+        if getattr(e, "space", None) is not hom.source:
+            raise _foreign(e, AlgebraElement)
     if linalg.rank([e.coords for e in elements]) != len(elements):
         raise DependentInputError("input elements are linearly dependent")
 
@@ -309,7 +254,7 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     pivot_rows, rest = linalg.echelon(
         [hom.apply(e).coords + e.coords for e in elements], width
     )
-    return [AlgebraElement._raw(algebra, tuple(row[width:])) for row in pivot_rows + rest]
+    return [AlgebraElement._raw(hom.source, tuple(row[width:])) for row in pivot_rows + rest]
 
 
 # -- hom search ---------------------------------------------------------------

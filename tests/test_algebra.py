@@ -39,7 +39,7 @@ from artinalg.errors import (
 from artinalg.berger import omega_witness, q_algebra
 from artinalg.kahler import DifferentialForm, h0_de_rham, kahler_module
 from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
-from artinalg.truncated import TruncatedPolyAlgebra, TruncValue, make_hom, search_homs
+from artinalg.truncated import TruncatedPolyAlgebra, make_hom, search_homs
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import brute_force_nilpotent, random_element, random_zero_dim_gens
 
@@ -564,7 +564,7 @@ class TestLibraryArgumentErrors:
             (lambda: MonomialOrder("bogus", ("X",)), "'bogus'"),
             (lambda: Polynomial.variable(("X",), "X") ** -1, "negative power"),
             (lambda: groebner.buchberger([]), "at least one generator"),
-            (lambda: TruncValue(-1), ">= 0"),
+            (lambda: make_hom(5, 3, ["t"]), "got 5"),
             (lambda: Subspace.from_vectors([[1, 0]], 2).basis_elements(), "no owning algebra"),
             (lambda: socle(q_algebra(2)).contains([0, 0, 0, 0, "x"]), "'x'"),
             (lambda: Monomial((1.7, 0)), "(1.7, 0)"),
@@ -574,9 +574,9 @@ class TestLibraryArgumentErrors:
             (lambda: omega_witness(*_staircase_and_variables(), 1.5), "1.5"),
             (lambda: q_algebra(2.0), "2.0"),
             (lambda: q_algebra("2"), "'2'"),
-            (lambda: TruncValue("a"), "'a'"),
-            (lambda: TruncValue(1.5), "1.5"),
-            (lambda: TruncValue.finite(1.5), "1.5"),
+            (lambda: quotient_algebra(5, []), "got 5"),
+            (lambda: euler_derivation(q_algebra(2), 5), "got 5"),
+            (lambda: make_hom(q_algebra(2), 5, ["t^2", "t^3"]).valuation(5), "got 5"),
             (lambda: _x() + 1, "AlgebraElement with 1;"),
             (lambda: _x() * 2, "AlgebraElement with 2;"),
             (lambda: _x() + "a", "AlgebraElement with 'a';"),
@@ -612,10 +612,10 @@ class TestLibraryArgumentErrors:
             (lambda: search_homs(q_algebra(2), 4, budget=50, coefficient_pool="12"),
              "the coefficient pool must be a sequence, got the string '12'"),
         ],
-        ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "valuation",
+        ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "make-hom-algebra-int",
              "subspace-owner", "subspace-coordinate", "monomial-float", "monomial-str",
              "element-power-float", "polynomial-power-float", "omega-r-float", "q-float",
-             "q-str", "valuation-str", "valuation-float", "finite-valuation-float",
+             "q-str", "quotient-algebra-int", "euler-element-int", "valuation-int",
              "element-plus-int", "element-times-int", "element-plus-str", "int-times-element",
              "int-minus-element", "element-plus-polynomial", "element-scale-str",
              "int-times-form", "form-scale-str", "polynomial-times-int", "polynomial-plus-int",

@@ -262,6 +262,20 @@ class TestHoms:
         ]
         assert witness in trimmed
 
+    def test_variable_valuations_print_oo_for_a_zero_image(self, capsys, staircase_path):
+        # a zero variable image prints "oo", any other image its t-order
+        argv = ["homs", staircase_path, "--nmax", "5", "--budget", "400",
+                "--strategy", "monomial,user", "--images", "t^2;0"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        homs = report["results"]["homs"]
+        for h in homs:
+            for (name, value), image in zip(h["variable_valuations"].items(), h["images"]):
+                orders = [k for k, c in enumerate(image) if c != "0"]
+                assert value == (str(orders[0]) if orders else "oo"), (name, image)
+        valuations = [h["variable_valuations"] for h in homs]
+        assert {"X": "2", "Y": "oo"} in valuations and {"X": "2", "Y": "3"} in valuations
+
     def test_user_strategy_violation_is_input_error(self, capsys, staircase_path):
         code = main(
             [

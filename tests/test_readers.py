@@ -6,11 +6,13 @@ rational, an integer argument, an operand, a truncation, an image, a
 variable list or a generator list.  Each reader below is called with
 every value of WRONG in the one position it reads; the other arguments
 are valid.  A value that the reader's rule accepts (a float is an exact
-rational, `None` is the infinite valuation, an empty coordinate list a
-zero element) must give the documented type; anything else must raise
-an ArtinalgError.  The functions that take an algebra or an element as
-such (`nilradical(A)`, `d(a)`) are swept the same way.  A `str` is never
-read as the sequence of its characters.
+rational, an empty coordinate list a zero element, an empty hom family
+or element list an empty one) must give the documented type; anything
+else must raise an ArtinalgError.  The functions that take an algebra,
+an element, a form or a hom as such (`nilradical(A)`, `d(a)`,
+`make_hom(A, ...)`, `h.apply(a)`, `pushforward(h, w)`, the berger
+checks) are swept the same way.  A `str` is never read as the sequence
+of its characters.
 """
 
 import math
@@ -22,23 +24,33 @@ from artinalg import (
     AlgebraElement,
     ArtinAlgebra,
     ArtinalgError,
+    CriticalDegreeReport,
     DifferentialForm,
     KahlerModule,
     Monomial,
     Polynomial,
     Subspace,
+    SurjectionToQ,
     TruncatedHom,
     TruncatedPolyAlgebra,
-    TruncValue,
+    WitnessReport,
     build_algebra,
+    critical_degree_search,
     d,
+    euler_derivation,
     kahler_module,
     make_hom,
     nilradical,
+    omega_witness,
     parse_polynomial,
+    pushforward,
     q_algebra,
+    quotient_algebra,
     search_homs,
     socle,
+    surjection_to_q,
+    tau_membership_check,
+    triangularize,
 )
 
 WRONG = {
@@ -62,8 +74,11 @@ WRONG = {
 Q2 = q_algebra(2)
 X = Polynomial.variable(("X",), "X")
 x = Q2.variable_element("X")
+y = Q2.variable_element("Y")
 RING = TruncatedPolyAlgebra(4)
 IMAGES = ["t^2", "t^3"]
+HOM = make_hom(Q2, 5, IMAGES)
+OMEGA = omega_witness(Q2, x, y, 2)
 
 # (name, reader, documented return type, needs a hashable value)
 READERS = [
@@ -94,11 +109,11 @@ READERS = [
     ("AlgebraElement*", lambda v: x * v, AlgebraElement, False),
     ("*AlgebraElement", lambda v: v * x, AlgebraElement, False),
     ("AlgebraElement**", lambda v: x ** v, AlgebraElement, False),
-    ("TruncValue", lambda v: TruncValue(v), TruncValue, False),
     ("t_power", lambda v: RING.t_power(v), AlgebraElement, False),
     ("t_power-coefficient", lambda v: RING.t_power(1, v), AlgebraElement, False),
     ("from_coeffs", lambda v: RING.from_coeffs(v), AlgebraElement, False),
     ("from_coeffs-coefficient", lambda v: RING.from_coeffs([v]), AlgebraElement, False),
+    ("make_hom-algebra", lambda v: make_hom(v, 3, ["t"]), TruncatedHom, False),
     ("make_hom-truncation", lambda v: make_hom(Q2, v, IMAGES), TruncatedHom, False),
     ("make_hom-images", lambda v: make_hom(Q2, 5, v), TruncatedHom, False),
     ("make_hom-image", lambda v: make_hom(Q2, 5, [v, "t^3"]), TruncatedHom, False),
@@ -115,6 +130,22 @@ READERS = [
     ("socle", lambda v: socle(v), Subspace, False),
     ("kahler_module", lambda v: kahler_module(v), KahlerModule, False),
     ("d", lambda v: d(v), DifferentialForm, False),
+    ("KahlerModule.d", lambda v: kahler_module(Q2).d(v), DifferentialForm, False),
+    ("KahlerModule.act-element", lambda v: kahler_module(Q2).act(v, OMEGA), DifferentialForm, False),
+    ("KahlerModule.act-form", lambda v: kahler_module(Q2).act(x, v), DifferentialForm, False),
+    ("quotient_algebra-algebra", lambda v: quotient_algebra(v, []), tuple, False),
+    ("quotient_algebra-gens", lambda v: quotient_algebra(Q2, v), tuple, False),
+    ("euler_derivation", lambda v: euler_derivation(Q2, v), AlgebraElement, False),
+    ("apply", lambda v: HOM.apply(v), AlgebraElement, False),
+    ("valuation", lambda v: HOM.valuation(v), int, False),
+    ("triangularize-elements", lambda v: triangularize(HOM, v), list, False),
+    ("triangularize-element", lambda v: triangularize(HOM, [v]), list, False),
+    ("pushforward", lambda v: pushforward(HOM, v), DifferentialForm, False),
+    ("critical_degree_search", lambda v: critical_degree_search(Q2, v), CriticalDegreeReport, False),
+    ("surjection_to_q", lambda v: surjection_to_q(Q2, v, 2), SurjectionToQ, False),
+    ("omega_witness", lambda v: omega_witness(Q2, v, y, 2), DifferentialForm, False),
+    ("tau_membership_check", lambda v: tau_membership_check(Q2, v, [HOM]), WitnessReport, False),
+    ("tau_membership_check-homs", lambda v: tau_membership_check(Q2, OMEGA, v), WitnessReport, False),
 ]
 
 CASES = [
