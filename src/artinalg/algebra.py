@@ -70,7 +70,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int, owner=None) -> "Subspace":
-        rows, pivots = linalg.rref(list(vectors))
+        vectors = _sequence(vectors, "vectors")
+        try:
+            rows, pivots = linalg.rref(vectors)
+        except TypeError:
+            # read each vector only here: the invariants pass exact rows,
+            # millions of coordinates per structure pass
+            rows, pivots = linalg.rref([_fractions(v, "a vector") for v in vectors])
         return cls(owner, ambient_dim, rows, pivots)
 
     @property
@@ -392,6 +398,10 @@ class ArtinAlgebra:
         return self.basis_element(self.basis.index(Monomial((0,) * len(self.variables))))
 
     def basis_element(self, i: int) -> AlgebraElement:
+        """The i-th standard monomial; InvalidArgumentError for an i past the basis."""
+        _require_integer(i, "the basis index", 0)
+        if i >= self.dim:
+            raise InvalidArgumentError(f"basis index {i} past dimension {self.dim}")
         coords = [ZERO] * self.dim
         coords[i] = ONE
         return AlgebraElement._raw(self, tuple(coords))
@@ -465,10 +475,17 @@ class AlgebraMap:
     __slots__ = ("source", "target", "images", "_monomial_images")
 
     def __init__(self, source: ArtinAlgebra, target, images, verify: bool = True):
-        if len(images) != len(source.variables):
-            raise IncompatibleAlgebrasError("one image per source variable required")
-        if not all(img in target for img in images):
-            raise IncompatibleAlgebrasError("image lies in the wrong algebra")
+        try:
+            if len(images) != len(source.variables):
+                raise IncompatibleAlgebrasError("one image per source variable required")
+            if not all(img in target for img in images):
+                raise IncompatibleAlgebrasError("image lies in the wrong algebra")
+        except (AttributeError, TypeError):
+            # read the operands only here: a search builds a map per candidate
+            for space in (source, target):
+                if not isinstance(space, ArtinAlgebra):
+                    raise _foreign(space, ArtinAlgebra) from None
+            raise InvalidArgumentError(f"images must be a sequence, got {images!r}") from None
         self.source = source
         self.target = target
         self.images = tuple(images)
@@ -531,7 +548,9 @@ class AlgebraMap:
 
     def then(self, other: "AlgebraMap") -> "AlgebraMap":
         """Composite self followed by other, of the same class as other."""
-        if other.source is not self.target:
+        if getattr(other, "source", None) is not self.target:
+            if not isinstance(other, AlgebraMap):
+                raise _foreign(other, AlgebraMap)
             raise IncompatibleAlgebrasError("maps do not compose")
         return type(other)(
             self.source,
@@ -689,6 +708,7 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
 
 def graded_component_span(algebra: ArtinAlgebra, degree: int) -> Subspace:
     info = _require_graded(algebra, "algebra is not standard graded")
+    _require_integer(degree, "degree", 0)
     if degree >= len(info.components):
         return Subspace(algebra, algebra.dim, [], [])
     return info.components[degree]

@@ -269,7 +269,11 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
     least two valuations, divides by <x^(r+1), x^r y, y^2, rest>, and
     re-checks by rank computations that the induced map from Q(r) is an
     isomorphism.  A failed check is recorded in the result, not raised.
+    Raises InvalidArgumentError for an r that is not an int >= 1 and
+    WitnessInsufficientError when the hom's image of degree r is below
+    dimension 2.
     """
+    _require_integer(r, "r", 1)
     _require_graded(algebra, "staircase surjection needs a standard grading")
     if not isinstance(hom, TruncatedHom) or hom.source is not algebra:
         raise _foreign(hom, TruncatedHom)
@@ -277,11 +281,10 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
         raise WitnessInsufficientError(
             f"hom keeps the degree-{r} component below dimension 2"
         )
+    # degree r is spanned by products of degree one, so its image rank 2
+    # leaves x and y below with finite valuations
     degree_one = [algebra.basis_element(i) for i in algebra.degree_indices(1)]
     staircase = triangularize(hom, degree_one)
-    finite = [e for e in staircase if hom.valuation(e) <= hom.truncation]
-    if len(finite) < 2:
-        raise WitnessInsufficientError("fewer than two finite valuations in degree one")
     x, y = staircase[0], staircase[1]
     rest = staircase[2:]
     extras = [x ** (r + 1), (x ** r) * y, y * y] + list(rest)

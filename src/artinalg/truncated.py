@@ -241,6 +241,8 @@ def triangularize(hom: TruncatedHom, elements: Sequence[AlgebraElement]):
     remaining member whose image has that order; the pivot members are
     returned as taken, then the rest in input order.
     """
+    if not isinstance(hom, TruncatedHom):
+        raise _foreign(hom, TruncatedHom)
     elements = _sequence(elements, "elements")
     for e in elements:
         if getattr(e, "space", None) is not hom.source:
@@ -298,6 +300,11 @@ def _degree_groups(gens, profile, n_max: int, sure_singles: bool):
     the other groups of degree below `bound` as
     (degree, [(exponents, a), ...]), lowest degree first.  A group of
     degree above n_max is left out: like a zero group it allows N = n_max.
+
+    When every generator is one term, `profile` may be the t-orders of
+    images of any shape (N+1 for a zero image) with `sure_singles` true:
+    each term's image is a nonzero multiple of t^(e·α) plus higher terms,
+    so the images kill every generator exactly when `bound` exceeds N.
     """
     bound = n_max + 1
     colliding = []
@@ -358,13 +365,24 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
 
 
 def _dense_random_stream(algebra, n_max, pool, seed, user_images):
-    """Random polynomial images of positive order, exactly verified."""
+    """Random polynomial images of positive order, verified exactly.
+
+    Each image's t-order is recorded as drawn (the lead, or `t_order` when
+    the pool put 0 there) and set as `image_orders`.  On a monomial
+    presentation, every generator one term a*X^α, the orders decide the
+    candidate: a*X^α maps to a*∏lc_i^α_i*t^(α·orders) plus higher terms,
+    nonzero exactly when α·orders <= N (Q is a domain), as `_degree_groups`
+    reads it.  Any other presentation is verified by `violation()`; the
+    ROADMAP's per-generator order rule would replace that for every
+    presentation once perfbench stops keeping each pass's report text.
+    """
     rng = random.Random(f"{seed}:dense-random:{n_max}")
     nvars = len(algebra.variables)
+    monomial = all(len(g.terms) == 1 for g in algebra.gens)
     while True:
         n = rng.randint(1, n_max)
         target = TruncatedPolyAlgebra(n)
-        images = []
+        images, orders = [], []
         for _ in range(nvars):
             lead = rng.randint(1, n)
             coeffs = [ZERO] * (n + 1)
@@ -372,9 +390,15 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images):
             for k in range(lead + 1, min(n, lead + 4) + 1):
                 if rng.random() < 0.4:
                     coeffs[k] = rng.choice(pool)
-            images.append(AlgebraElement._raw(target, tuple(coeffs)))
+            image = AlgebraElement._raw(target, tuple(coeffs))
+            images.append(image)
+            orders.append(lead if coeffs[lead] else target.t_order(image))
+        if monomial and _degree_groups(algebra.gens, orders, n, True)[0] <= n:
+            yield None
+            continue
         probe = TruncatedHom(algebra, target, images, verify=False)
-        yield probe if probe.violation() is None else None
+        probe._orders = tuple(orders)
+        yield probe if monomial or probe.violation() is None else None
 
 
 def _user_stream(algebra, n_max, pool, seed, user_images):
@@ -445,7 +469,10 @@ def search_homs(
     largest truncation it verifies at, read from the generators' terms
     grouped by t-degree once per profile (Fractions only for groups whose
     terms share a degree); "dense-random" rejection-samples
-    seeded random images of positive order; "user" verifies explicitly
+    seeded random images of positive order, decided on a monomial
+    presentation (every generator one term) by the images' t-orders
+    alone and verified exactly otherwise; both streams set each hom's
+    `image_orders` from the draw; "user" verifies explicitly
     supplied images and keeps the valid ones: `images` is one image set
     (the images of `make_hom`; a sequence of rationals is one image) or
     a list of image sets, and a supplied `TruncatedHom` is taken as

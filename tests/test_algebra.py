@@ -17,6 +17,7 @@ from artinalg.algebra import (
     build_algebra,
     embedding_dimension,
     euler_derivation,
+    graded_component_span,
     grading_info,
     is_gorenstein,
     is_local_over_q,
@@ -36,10 +37,10 @@ from artinalg.errors import (
     TrivialAlgebraError,
     VariableMismatchError,
 )
-from artinalg.berger import omega_witness, q_algebra
+from artinalg.berger import omega_witness, q_algebra, surjection_to_q
 from artinalg.kahler import DifferentialForm, h0_de_rham, kahler_module
 from artinalg.polycore import Monomial, MonomialOrder, Polynomial, parse_polynomial
-from artinalg.truncated import TruncatedPolyAlgebra, make_hom, search_homs
+from artinalg.truncated import TruncatedPolyAlgebra, make_hom, search_homs, triangularize
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import brute_force_nilpotent, random_element, random_zero_dim_gens
 
@@ -537,6 +538,10 @@ def _staircase_and_variables():
     return q2, q2.variable_element("X"), q2.variable_element("Y")
 
 
+def _hom():
+    return make_hom(q_algebra(2), 5, ["t^2", "t^3"])
+
+
 def _x():
     return q_algebra(2).variable_element("X")
 
@@ -611,6 +616,17 @@ class TestLibraryArgumentErrors:
             (lambda: build_algebra("XY", ["X^2", "X*Y", "Y^2"]), "got the string 'XY'"),
             (lambda: search_homs(q_algebra(2), 4, budget=50, coefficient_pool="12"),
              "the coefficient pool must be a sequence, got the string '12'"),
+            (lambda: AlgebraMap(5, q_algebra(2), []), "got 5"),
+            (lambda: AlgebraMap(q_algebra(2), q_algebra(2), 5), "got 5"),
+            (lambda: AlgebraMap(q_algebra(2), 5, [_x(), _x()]), "got 5"),
+            (lambda: _hom().then(5), "got 5"),
+            (lambda: triangularize(5, [_x()]), "got 5"),
+            (lambda: Subspace.from_vectors(5, 2), "got 5"),
+            (lambda: q_algebra(2).basis_element("a"), "'a'"),
+            (lambda: q_algebra(2).basis_element(5), "past dimension 5"),
+            (lambda: graded_component_span(q_algebra(2), "a"), "'a'"),
+            (lambda: graded_component_span(q_algebra(2), -1), "-1"),
+            (lambda: surjection_to_q(q_algebra(2), _hom(), "2"), "'2'"),
         ],
         ids=["monomial", "order-kind", "polynomial-power", "buchberger-empty", "make-hom-algebra-int",
              "subspace-owner", "subspace-coordinate", "monomial-float", "monomial-str",
@@ -624,7 +640,10 @@ class TestLibraryArgumentErrors:
              "constant-str", "coefficient-none", "from-monomial-inf", "scale-inf", "t-power-float",
              "t-power-negative", "t-power-bool", "t-power-beyond-str", "build-variables-int", "build-gens-none",
              "make-hom-images-int", "parse-variables-none", "from-coeffs-str", "build-variables-str",
-             "pool-str"],
+             "pool-str", "map-source-int", "map-images-int", "map-target-int", "then-int",
+             "triangularize-hom-int", "from-vectors-int", "basis-element-str",
+             "basis-element-past-dim", "component-degree-str", "component-degree-negative",
+             "surjection-r-str"],
     )
     def test_invalid_argument(self, call, named):
         with pytest.raises(InvalidArgumentError, match=re.escape(named)):

@@ -158,6 +158,11 @@ class TestSurjection:
         with pytest.raises(WitnessInsufficientError):
             surjection_to_q(m4, weak, 3)
 
+    def test_one_finite_valuation_in_degree_one_fails_the_rank_check(self, q2):
+        # Y -> 0 leaves only X of finite valuation; its powers span one line
+        with pytest.raises(WitnessInsufficientError, match="below dimension 2"):
+            surjection_to_q(q2, make_hom(q2, 5, ["t^2", "0"]), 2)
+
 
 class TestRecords:
     def test_positional_construction(self, q2):

@@ -22,6 +22,7 @@ import pytest
 
 from artinalg import (
     AlgebraElement,
+    AlgebraMap,
     ArtinAlgebra,
     ArtinalgError,
     CriticalDegreeReport,
@@ -52,6 +53,7 @@ from artinalg import (
     tau_membership_check,
     triangularize,
 )
+from artinalg.algebra import graded_component_span
 
 WRONG = {
     "float": 1.5,
@@ -126,6 +128,9 @@ READERS = [
     ("build_algebra-gen", lambda v: build_algebra(("X",), ["X^2", v]), ArtinAlgebra, False),
     ("parse_polynomial", lambda v: parse_polynomial(v, ("X",)), Polynomial, False),
     ("parse_polynomial-variables", lambda v: parse_polynomial("X", v), Polynomial, False),
+    ("Subspace.from_vectors", lambda v: Subspace.from_vectors(v, 2), Subspace, False),
+    ("basis_element", lambda v: Q2.basis_element(v), AlgebraElement, False),
+    ("graded_component_span", lambda v: graded_component_span(Q2, v), Subspace, False),
     ("nilradical", lambda v: nilradical(v), Subspace, False),
     ("socle", lambda v: socle(v), Subspace, False),
     ("kahler_module", lambda v: kahler_module(v), KahlerModule, False),
@@ -136,13 +141,19 @@ READERS = [
     ("quotient_algebra-algebra", lambda v: quotient_algebra(v, []), tuple, False),
     ("quotient_algebra-gens", lambda v: quotient_algebra(Q2, v), tuple, False),
     ("euler_derivation", lambda v: euler_derivation(Q2, v), AlgebraElement, False),
+    ("AlgebraMap-source", lambda v: AlgebraMap(v, Q2, []), AlgebraMap, False),
+    ("AlgebraMap-target", lambda v: AlgebraMap(Q2, v, [x, y]), AlgebraMap, False),
+    ("AlgebraMap-images", lambda v: AlgebraMap(Q2, Q2, v), AlgebraMap, False),
+    ("then", lambda v: HOM.then(v), AlgebraMap, False),
     ("apply", lambda v: HOM.apply(v), AlgebraElement, False),
     ("valuation", lambda v: HOM.valuation(v), int, False),
+    ("triangularize-hom", lambda v: triangularize(v, [x]), list, False),
     ("triangularize-elements", lambda v: triangularize(HOM, v), list, False),
     ("triangularize-element", lambda v: triangularize(HOM, [v]), list, False),
     ("pushforward", lambda v: pushforward(HOM, v), DifferentialForm, False),
     ("critical_degree_search", lambda v: critical_degree_search(Q2, v), CriticalDegreeReport, False),
     ("surjection_to_q", lambda v: surjection_to_q(Q2, v, 2), SurjectionToQ, False),
+    ("surjection_to_q-r", lambda v: surjection_to_q(Q2, HOM, v), SurjectionToQ, False),
     ("omega_witness", lambda v: omega_witness(Q2, v, y, 2), DifferentialForm, False),
     ("tau_membership_check", lambda v: tau_membership_check(Q2, v, [HOM]), WitnessReport, False),
     ("tau_membership_check-homs", lambda v: tau_membership_check(Q2, OMEGA, v), WitnessReport, False),

@@ -725,3 +725,47 @@ class TestMonomialStream:
         A = algebra_from_strings(*self.COLLIDING)
         list(truncated._monomial_stream(A, 12, DEFAULT_COEFF_POOL, 0, None))
         assert evaluated
+
+
+def reference_dense_random_keys(algebra, n_max, pool, seed):
+    """The key() of each dense-random candidate, None for a rejected one:
+    the stream's rng calls, each candidate verified by a plain AlgebraMap."""
+    rng = random.Random(f"{seed}:dense-random:{n_max}")
+    while True:
+        n = rng.randint(1, n_max)
+        B = TruncatedPolyAlgebra(n)
+        images = []
+        for _ in algebra.variables:
+            lead = rng.randint(1, n)
+            coeffs = [0] * (n + 1)
+            coeffs[lead] = rng.choice(pool)
+            for k in range(lead + 1, min(n, lead + 4) + 1):
+                if rng.random() < 0.4:
+                    coeffs[k] = rng.choice(pool)
+            images.append(B.from_coeffs(coeffs))
+        valid = AlgebraMap(algebra, B, images, verify=False).violation() is None
+        yield (n, tuple(img.coords for img in images)) if valid else None
+
+
+class TestDenseRandomStream:
+    """The stream records each image's t-order as drawn, and decides a
+    candidate on a monomial presentation from those orders alone; it
+    yields what exact verification of every candidate gave."""
+
+    INPUTS = TestMonomialStream.INPUTS + [
+        ("xyz-monomial", (("X", "Y", "Z"), ("X^4", "Y^4", "Z^4", "X*Y*Z")), 12),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
+    @pytest.mark.parametrize(
+        "presentation, n_max", [pytest.param(p, n, id=name) for name, p, n in INPUTS]
+    )
+    def test_candidates_equal_the_reference(self, presentation, n_max, pool, seed):
+        A = algebra_from_strings(*presentation)
+        budget = 1500
+        homs = list(islice(truncated._dense_random_stream(A, n_max, pool, seed, None), budget))
+        got = [None if hom is None else hom.key() for hom in homs]
+        assert got == list(islice(reference_dense_random_keys(A, n_max, pool, seed), budget))
+        for hom in filter(None, homs):
+            assert hom.image_orders() == tuple(map(hom.target.t_order, hom.images))
