@@ -70,14 +70,18 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int, owner=None) -> "Subspace":
-        vectors = _sequence(vectors, "vectors")
-        try:
-            rows, pivots = linalg.rref(vectors)
-        except TypeError:
-            # read each vector only here: the invariants pass exact rows,
-            # millions of coordinates per structure pass
-            rows, pivots = linalg.rref([_fractions(v, "a vector") for v in vectors])
-        return cls(owner, ambient_dim, rows, pivots)
+        """The span of the vectors, each read as coordinates by `_fractions`.
+
+        Raises InvalidArgumentError for an `ambient_dim` that is not an int
+        >= 0 or an unreadable vector, and VariableMismatchError for a vector
+        whose length is not `ambient_dim`.  The invariants, whose rows are
+        exact already, build `Subspace(owner, dim, *linalg.rref(rows))`.
+        """
+        _require_integer(ambient_dim, "ambient_dim", 0)
+        rows = [_fractions(v, "a vector") for v in _sequence(vectors, "vectors")]
+        if any(len(row) != ambient_dim for row in rows):
+            raise VariableMismatchError("vector has wrong length for subspace")
+        return cls(owner, ambient_dim, *linalg.rref(rows))
 
     @property
     def dim(self) -> int:
@@ -399,12 +403,17 @@ class ArtinAlgebra:
 
     def basis_element(self, i: int) -> AlgebraElement:
         """The i-th standard monomial; InvalidArgumentError for an i past the basis."""
-        _require_integer(i, "the basis index", 0)
-        if i >= self.dim:
-            raise InvalidArgumentError(f"basis index {i} past dimension {self.dim}")
+        self._basis_monomial(i)
         coords = [ZERO] * self.dim
         coords[i] = ONE
         return AlgebraElement._raw(self, tuple(coords))
+
+    def _basis_monomial(self, i: int) -> Monomial:
+        """basis[i]; InvalidArgumentError for an i that is no int in range(dim)."""
+        _require_integer(i, "the basis index", 0)
+        if i >= self.dim:
+            raise InvalidArgumentError(f"basis index {i} past dimension {self.dim}")
+        return self.basis[i]
 
     def degree_indices(self, degree: int) -> list:
         """The indices of the basis monomials of this degree, in basis order."""
@@ -436,9 +445,10 @@ class ArtinAlgebra:
 def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinAlgebra:
     """Quotient by a zero-dimensional ideal, as a concrete algebra.
 
-    Raises InvalidArgumentError for a duplicate variable or one that is
-    not a name, NotZeroDimensionalError for infinite quotients and
-    TrivialAlgebraError when the ideal contains 1.
+    Raises InvalidArgumentError for a duplicate variable, one that is not
+    a name or an order that is no MonomialOrder, VariableMismatchError for
+    an order over other variables, NotZeroDimensionalError for infinite
+    quotients and TrivialAlgebraError when the ideal contains 1.
     """
     variables = check_variables(variables)
     gens = [
@@ -449,6 +459,8 @@ def build_algebra(variables, gens, order: MonomialOrder | None = None) -> ArtinA
         gens = [Polynomial.zero(variables)]
     if order is None:
         order = MonomialOrder.grevlex(variables)
+    elif not isinstance(order, MonomialOrder):
+        raise _foreign(order, MonomialOrder)
     gb = buchberger(gens, order)
     if gb.is_trivial():
         raise TrivialAlgebraError("ideal contains 1; the quotient is the zero ring")
@@ -468,7 +480,7 @@ class AlgebraMap:
     (`truncated.TruncatedPolyAlgebra`).  Every image must lie in the
     target.  With `verify` (the default) construction
     checks that every ideal generator of the source evaluates to zero.
-    Monomial images are kept in one memo (see `evaluate_monomial`), and
+    Monomial images are kept in one memo (see `_monomial_image`), and
     `evaluate_polynomial`, `violation` and `apply` sum them in one list.
     """
 
@@ -502,16 +514,28 @@ class AlgebraMap:
         Raises nothing, so a search rejects candidates without building errors.
         """
         for g in self.source.gens:
-            residual = self.evaluate_polynomial(g)
+            residual = self._combine(g.terms.items())
             if not residual.is_zero():
                 return g, residual
         return None
 
     def evaluate_monomial(self, exps: Sequence[int]):
-        """The image of x^exps: strip factors of the last variable with a positive exponent
-        down to a memo entry or a variable, then multiply back up, keeping each image."""
+        """The image of x^exps.  Raises InvalidArgumentError for exponents that
+        `Monomial` does not read and VariableMismatchError for a count other
+        than the source's number of variables."""
+        exps = Monomial(exps).exps
+        if len(exps) != len(self.source.variables):
+            raise VariableMismatchError(
+                f"{len(exps)} exponents for the variables {self.source.variables}"
+            )
+        return self._monomial_image(exps)
+
+    def _monomial_image(self, exps: tuple):
+        """The image of x^exps, for a tuple of ints >= 0 of the source's length:
+        strip factors of the last variable with a positive exponent down to a
+        memo entry or a variable, then multiply back up, keeping each image."""
         memo = self._monomial_images
-        exps, stripped = tuple(exps), []
+        stripped = []
         if not any(exps):
             return self.target.one()
         while exps not in memo and sum(exps) > 1:
@@ -525,26 +549,36 @@ class AlgebraMap:
         return image
 
     def _combine(self, terms):
-        """The sum of c * image(x^exps) over the (exps, c) of `terms`, in one list."""
+        """The sum of c * image(mono) over the (mono, c) of `terms`, in one list."""
         out = [ZERO] * self.target.dim
-        for exps, c in terms:
-            coords = self.evaluate_monomial(exps).coords
+        for mono, c in terms:
+            coords = self._monomial_image(mono.exps).coords
             for k in compress(range(len(coords)), coords):
                 out[k] += c * coords[k]
         return AlgebraElement._raw(self.target, tuple(out))
 
     def evaluate_polynomial(self, p: Polynomial):
-        return self._combine((mono.exps, c) for mono, c in p.terms.items())
+        """The image of a polynomial over the source's variables.  Raises
+        InvalidArgumentError for a non-polynomial and VariableMismatchError
+        for a polynomial over other variables."""
+        if not isinstance(p, Polynomial):
+            raise _foreign(p, Polynomial)
+        if p.variables != self.source.variables:
+            raise VariableMismatchError(
+                f"polynomial over {p.variables}, map from {self.source.variables}"
+            )
+        return self._combine(p.terms.items())
 
     def basis_image(self, i: int):
-        """The image of the i-th standard monomial of the source."""
-        return self.evaluate_monomial(self.source.basis[i].exps)
+        """The image of the i-th standard monomial of the source;
+        InvalidArgumentError for an i that is no int in range(source.dim)."""
+        return self._monomial_image(self.source._basis_monomial(i).exps)
 
     def apply(self, element: AlgebraElement):
         if getattr(element, "space", None) is not self.source:
             raise _foreign(element, AlgebraElement)
         basis = self.source.basis
-        return self._combine((basis[i].exps, c) for i, c in enumerate(element.coords) if c)
+        return self._combine((basis[i], c) for i, c in enumerate(element.coords) if c)
 
     def then(self, other: "AlgebraMap") -> "AlgebraMap":
         """Composite self followed by other, of the same class as other."""
@@ -595,7 +629,7 @@ def _per_algebra(fn):
 
 def _kernel_subspace(algebra: ArtinAlgebra, rows) -> Subspace:
     """The subspace of the algebra on which every row vanishes: {a : rows a = 0}."""
-    return Subspace.from_vectors(linalg.kernel_basis(rows, algebra.dim), algebra.dim, owner=algebra)
+    return Subspace(algebra, algebra.dim, *linalg.rref(linalg.kernel_basis(rows, algebra.dim)))
 
 
 def _trace_row(algebra: ArtinAlgebra) -> list:
@@ -648,9 +682,9 @@ def _power_dims(algebra: ArtinAlgebra) -> tuple:
     dims = []
     while not power.is_zero():
         dims.append(power.dim)
-        power = Subspace.from_vectors(
-            [algebra.multiply_coords(u, v) for u in power.rows for v in m.rows], algebra.dim
-        )
+        power = Subspace(None, algebra.dim, *linalg.rref(
+            [algebra.multiply_coords(u, v) for u in power.rows for v in m.rows]
+        ))
     return tuple(dims)
 
 
@@ -696,11 +730,9 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
     components: tuple = ()
     if graded:
         components = tuple(
-            Subspace.from_vectors(
-                [algebra.basis_element(i).coords for i in algebra.degree_indices(d)],
-                algebra.dim,
-                owner=algebra,
-            )
+            Subspace(algebra, algebra.dim, *linalg.rref(
+                [algebra.basis_element(i).coords for i in algebra.degree_indices(d)]
+            ))
             for d in range(max(algebra.degrees) + 1)
         )
     return GradingInfo(graded, components, nilpotency_index(algebra))

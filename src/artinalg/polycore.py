@@ -140,7 +140,9 @@ class MonomialOrder:
 
     `kind` is "grevlex" (graded reverse lexicographic, the default
     everywhere) or "lex".  `variables` lists the variables in decreasing
-    significance; it fixes which exponent slot ties break on.
+    significance; it fixes which exponent slot ties break on.  Raises
+    InvalidArgumentError for another kind or variables `check_variables`
+    does not read.
     """
 
     GREVLEX = "grevlex"
@@ -152,7 +154,7 @@ class MonomialOrder:
         if kind not in (self.GREVLEX, self.LEX):
             raise InvalidArgumentError(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.variables = tuple(variables)
+        self.variables = check_variables(variables)
 
     @classmethod
     def grevlex(cls, variables: Sequence[str]) -> "MonomialOrder":

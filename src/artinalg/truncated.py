@@ -156,14 +156,14 @@ class TruncatedHom(AlgebraMap):
             self._orders = tuple(map(self.target.t_order, self.images))
         return self._orders
 
-    def evaluate_monomial(self, exps: Sequence[int]):
+    def _monomial_image(self, exps: tuple):
         """The image of a monomial; zero without multiplying when the t-orders
         of its factors sum past N (see `image_orders`), else the memo's image:
         the walk multiplies only divisors, whose orders sum to at most N too."""
         orders = self._orders or self.image_orders()
         if sum(e * o for e, o in zip(exps, orders)) > self.truncation:
             return self.target.zero()
-        return AlgebraMap.evaluate_monomial(self, exps)
+        return AlgebraMap._monomial_image(self, exps)
 
     # perfbench/tracing.py times `apply` (its `truncated.apply` span) only
     # where `vars(TruncatedHom)` holds it, so it is bound here too.
@@ -431,7 +431,7 @@ def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
     """A search's strategies, budgets and pool; raises as `search_homs` documents."""
     strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
     budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
-    unknown = [s for s in strategies if s not in _STRATEGIES]
+    unknown = [s for s in (*strategies, *budgets) if s not in _STRATEGIES]
     _require_integer(n_max, "n_max", 1)
     for b in budgets.values():
         _require_integer(b, "budget")
@@ -481,8 +481,10 @@ def search_homs(
     int, or a mapping from strategy name to int; a strategy missing from
     the mapping gets 0).  Candidates are streamed, so a strategy does no
     work beyond its budget.  Results are deduplicated by the canonical
-    key (N, images) and sorted by it; each hom's `gen_seq` is the number
-    of homs kept before it.  An empty list is a legitimate outcome.
+    key (N, images) of `TruncatedHom.key`, read once per candidate, and
+    returned in the order of that key, compared as integers by
+    `_sorted_by_key`; each hom's `gen_seq` is the number of homs kept
+    before it.  An empty list is a legitimate outcome.
 
     "monomial" and "dense-random" propose only images of positive
     t-order, so they find nothing on an algebra whose point lies away
@@ -491,9 +493,9 @@ def search_homs(
 
     Raises InvalidArgumentError, before examining any candidate, for
     an n_max or a budget that is not an int, n_max < 1, no strategy, an
-    unknown strategy name, "user" without images, a negative budget, an
-    unreadable pool entry or an empty pool for "monomial" or
-    "dense-random".
+    unknown strategy name (as a strategy or as a budget key), "user"
+    without images, a negative budget, an unreadable pool entry or an
+    empty pool for "monomial" or "dense-random".
     """
     strategies, budgets, pool = _search_settings(n_max, strategy, budget, images, coefficient_pool)
     _require_local(algebra, "hom search needs a local algebra over Q")

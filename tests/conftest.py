@@ -36,6 +36,14 @@ def q3():
 
 
 @pytest.fixture(scope="session")
+def diag_xyz():
+    """Q[X,Y,Z] / <X^2 - Y^2, Y^2 - Z^2, XY, XZ, YZ>: Gorenstein, embedding dimension 3."""
+    return algebra_from_strings(
+        ("X", "Y", "Z"), ("X^2 - Y^2", "Y^2 - Z^2", "X*Y", "X*Z", "Y*Z")
+    )
+
+
+@pytest.fixture(scope="session")
 def m4():
     """Q[X,Y] / <X,Y>^4."""
     return algebra_from_strings(

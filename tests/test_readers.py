@@ -17,6 +17,7 @@ of its characters.
 
 import math
 from collections.abc import Hashable
+from fractions import Fraction
 
 import pytest
 
@@ -27,13 +28,16 @@ from artinalg import (
     ArtinalgError,
     CriticalDegreeReport,
     DifferentialForm,
+    InvalidArgumentError,
     KahlerModule,
     Monomial,
+    MonomialOrder,
     Polynomial,
     Subspace,
     SurjectionToQ,
     TruncatedHom,
     TruncatedPolyAlgebra,
+    VariableMismatchError,
     WitnessReport,
     build_algebra,
     critical_degree_search,
@@ -122,13 +126,22 @@ READERS = [
     ("search_homs-n_max", lambda v: search_homs(Q2, v, budget=20), list, False),
     ("search_homs-budget", lambda v: search_homs(Q2, 4, budget=v), list, False),
     ("search_homs-pool", lambda v: search_homs(Q2, 4, budget=20, coefficient_pool=v), list, False),
+    ("search_homs-budget-key", lambda v: search_homs(Q2, 4, budget={v: 20}), list, True),
+    ("MonomialOrder-kind", lambda v: MonomialOrder(v, ("X",)), MonomialOrder, False),
+    ("MonomialOrder-variables", lambda v: MonomialOrder("lex", v), MonomialOrder, False),
     ("q_algebra", lambda v: q_algebra(v), ArtinAlgebra, False),
     ("build_algebra-variables", lambda v: build_algebra(v, ["X^2"]), ArtinAlgebra, False),
     ("build_algebra-gens", lambda v: build_algebra(("X",), v), ArtinAlgebra, False),
     ("build_algebra-gen", lambda v: build_algebra(("X",), ["X^2", v]), ArtinAlgebra, False),
+    ("build_algebra-order", lambda v: build_algebra(("X",), ["X^2"], v), ArtinAlgebra, False),
     ("parse_polynomial", lambda v: parse_polynomial(v, ("X",)), Polynomial, False),
     ("parse_polynomial-variables", lambda v: parse_polynomial("X", v), Polynomial, False),
     ("Subspace.from_vectors", lambda v: Subspace.from_vectors(v, 2), Subspace, False),
+    ("Subspace.from_vectors-vector", lambda v: Subspace.from_vectors([v], 2), Subspace, False),
+    ("Subspace.from_vectors-coordinate",
+     lambda v: Subspace.from_vectors([[v, 0]], 2), Subspace, False),
+    ("Subspace.from_vectors-ambient_dim",
+     lambda v: Subspace.from_vectors([[1, 0]], v), Subspace, False),
     ("basis_element", lambda v: Q2.basis_element(v), AlgebraElement, False),
     ("graded_component_span", lambda v: graded_component_span(Q2, v), Subspace, False),
     ("nilradical", lambda v: nilradical(v), Subspace, False),
@@ -145,6 +158,10 @@ READERS = [
     ("AlgebraMap-target", lambda v: AlgebraMap(Q2, v, [x, y]), AlgebraMap, False),
     ("AlgebraMap-images", lambda v: AlgebraMap(Q2, Q2, v), AlgebraMap, False),
     ("then", lambda v: HOM.then(v), AlgebraMap, False),
+    ("evaluate_monomial", lambda v: HOM.evaluate_monomial(v), AlgebraElement, False),
+    ("evaluate_monomial-exponent", lambda v: HOM.evaluate_monomial((v, 0)), AlgebraElement, False),
+    ("evaluate_polynomial", lambda v: HOM.evaluate_polynomial(v), AlgebraElement, False),
+    ("basis_image", lambda v: HOM.basis_image(v), AlgebraElement, False),
     ("apply", lambda v: HOM.apply(v), AlgebraElement, False),
     ("valuation", lambda v: HOM.valuation(v), int, False),
     ("triangularize-hom", lambda v: triangularize(v, [x]), list, False),
@@ -179,3 +196,36 @@ def test_a_wrong_value_gives_the_documented_return_or_a_typed_error(reader, valu
 def test_t_power_beyond_the_truncation_is_zero():
     assert TruncatedPolyAlgebra(4).t_power(5).is_zero()
     assert TruncatedPolyAlgebra(4).t_power(4, 3).coords == (0, 0, 0, 0, 3)
+
+
+# Calls that once gave a wrong answer silently or raised an untyped error,
+# with the error each raises now.
+REPROS = [
+    ("from_vectors-None", lambda: Subspace.from_vectors([[None]], 2), InvalidArgumentError),
+    ("from_vectors-long", lambda: Subspace.from_vectors([[1, 0, 0]], 2), VariableMismatchError),
+    ("from_vectors-ambient_dim", lambda: Subspace.from_vectors([], -1), InvalidArgumentError),
+    ("evaluate_polynomial-variables",
+     lambda: HOM.evaluate_polynomial(parse_polynomial("Z", ("Z",))), VariableMismatchError),
+    ("evaluate_polynomial-int", lambda: HOM.evaluate_polynomial(5), InvalidArgumentError),
+    ("evaluate_monomial-short", lambda: HOM.evaluate_monomial([1]), VariableMismatchError),
+    ("evaluate_monomial-negative", lambda: HOM.evaluate_monomial([-1, 2]), InvalidArgumentError),
+    ("basis_image-past", lambda: HOM.basis_image(99), InvalidArgumentError),
+    ("basis_image-str", lambda: HOM.basis_image("a"), InvalidArgumentError),
+    ("search_homs-budget-key",
+     lambda: search_homs(Q2, 4, budget={"monomal": 100}), InvalidArgumentError),
+    ("MonomialOrder-variables", lambda: MonomialOrder("lex", 5), InvalidArgumentError),
+    ("build_algebra-order", lambda: build_algebra(("X",), ["X^2"], "lex"), InvalidArgumentError),
+]
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(c, e, id=n) for n, c, e in REPROS])
+def test_a_wrong_call_raises_its_documented_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_from_vectors_reads_a_float_by_its_binary_value():
+    rows = Subspace.from_vectors([[0.5, 1]], 2).rows
+    assert rows == ((1, 2),) and all(type(c) is Fraction for c in rows[0])
+    assert Subspace.from_vectors([[0.1, 0]], 2) == Subspace.from_vectors([[1, 0]], 2)
+    assert Subspace.from_vectors([[1, 0.1]], 2).rows == ((1, Fraction(0.1)),)

@@ -454,8 +454,12 @@ class TestSearch:
             (True, 20, "n_max must be an integer, got True"),
             (3, 2.5, "budget must be an integer, got 2.5"),
             (3, {"monomial": 10, "dense-random": 2.0}, "budget must be an integer, got 2.0"),
+            (3, {"monomal": 100}, "unknown strategy 'monomal'"),
         ],
-        ids=["n_max-float", "n_max-str", "n_max-bool", "budget-float", "budget-mapping"],
+        ids=[
+            "n_max-float", "n_max-str", "n_max-bool", "budget-float", "budget-mapping",
+            "budget-unknown-key",
+        ],
     )
     def test_non_integer_sizes_are_rejected_before_any_candidate(
         self, monkeypatch, n_max, budget, message
@@ -494,6 +498,88 @@ class TestSearch:
         assert search_homs(A, 6, strategy=("monomial", "dense-random"), budget=500) == []
         assert make_hom(A, 4, ["1 + t^2"]).images[0].coords[0] == 1
         assert len(search_homs(A, 4, strategy="user", images=["1 + t^2"], budget=1)) == 1
+
+
+class TestSearchOrder:
+    """`search_homs` returns the first hom found for each `key()`, sorted by
+    `TruncatedHom.key`, and reads `key()` once per hom the streams yield."""
+
+    MIXED_POOL = (1, Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 7), 3)
+    # its zero is read to a Fraction(0) of its own, not truncated.ZERO
+    POOL_WITH_ZERO = (0, 1, -1, Fraction(1, 2), Fraction(-1, 3))
+    # n_max and image sets with rational coefficients; the first two verify
+    USER_CASES = {
+        "golden": (8, [["1/2*t^3 + 1/3*t^4", "-2/3*t^3 + 5/7*t^5"], ["t^3", "t^3"], ["t", "t^2"]]),
+        "diag_xyz": (5, [["1/2*t^3", "-1/3*t^3 + t^4", "2/5*t^3"], ["t^3", "t^4", "-t^5"]]),
+        "q3": (5, [["-3/4*t^2 + 1/3*t^3", "1/2*t^3"], ["t^2", "t^3"], ["t", "t"]]),
+    }
+
+    def search_counting(self, monkeypatch, algebra, n_max, **kwargs):
+        """The search's result and the homs its streams yielded, checking
+        that `key()` was read once per yielded hom."""
+        yielded, keyed = [], []
+        key = TruncatedHom.key
+
+        def counting_key(hom):
+            keyed.append(hom)
+            return key(hom)
+
+        def counted(stream):
+            def wrapped(*args):
+                for hom in stream(*args):
+                    if hom is not None:
+                        yielded.append(hom)
+                    yield hom
+            return wrapped
+
+        monkeypatch.setattr(TruncatedHom, "key", counting_key)
+        for name, stream in list(truncated._STRATEGIES.items()):
+            monkeypatch.setitem(truncated._STRATEGIES, name, counted(stream))
+        homs = search_homs(algebra, n_max, **kwargs)
+        monkeypatch.undo()
+        assert len(keyed) == len(yielded)
+        return homs, yielded
+
+    def assert_sorted_first_of_each_key(self, homs, yielded):
+        first: dict = {}
+        for hom in yielded:
+            first.setdefault(hom.key(), hom)
+        assert [h.gen_seq for h in first.values()] == list(range(len(first)))
+        unique = list(first.values())
+        assert homs == sorted(unique, key=TruncatedHom.key)  # maps compare by identity
+
+    @pytest.mark.parametrize("n_max", [3, 6, 9])
+    def test_mixed_denominators_at_several_n(self, monkeypatch, q2, n_max):
+        homs, yielded = self.search_counting(
+            monkeypatch, q2, n_max, strategy=("monomial", "dense-random"), budget=300,
+            coefficient_pool=self.MIXED_POOL,
+        )
+        assert len(homs) < len(yielded)  # duplicates were dropped
+        assert len({h.truncation for h in homs}) > 1
+        self.assert_sorted_first_of_each_key(homs, yielded)
+
+    @pytest.mark.parametrize("name", ["q2", "q3", "golden"])
+    def test_a_pool_with_its_own_zero(self, monkeypatch, request, name):
+        algebra = request.getfixturevalue(name)
+        homs, yielded = self.search_counting(
+            monkeypatch, algebra, 6, strategy=("monomial", "dense-random"), budget=300,
+            coefficient_pool=self.POOL_WITH_ZERO,
+        )
+        assert any(not c and c is not truncated.ZERO
+                   for h in homs for img in h.images for c in img.coords)
+        self.assert_sorted_first_of_each_key(homs, yielded)
+
+    @pytest.mark.parametrize("name", list(USER_CASES))
+    def test_user_homs_next_to_searched_ones(self, monkeypatch, request, name):
+        n_max, image_sets = self.USER_CASES[name]
+        algebra = request.getfixturevalue(name)
+        homs, yielded = self.search_counting(
+            monkeypatch, algebra, n_max, strategy=("user", "monomial", "dense-random"),
+            budget=200, images=image_sets,
+        )
+        user_keys = {make_hom(algebra, n_max, images).key() for images in image_sets[:2]}
+        assert user_keys <= {h.key() for h in homs}
+        self.assert_sorted_first_of_each_key(homs, yielded)
 
 
 class TestComposition:
@@ -602,7 +688,7 @@ class TestOrderPruning:
         hom = TruncatedHom(A, B, targets, verify=False)
         plain = AlgebraMap(A, B, targets, verify=False)
         for exps in product(range(7), repeat=len(A.variables)):
-            assert hom.evaluate_monomial(exps) == AlgebraMap.evaluate_monomial(hom, exps)
+            assert hom.evaluate_monomial(exps) == plain.evaluate_monomial(exps)
         assert hom.violation() == plain.violation()
         for i in range(A.dim):
             assert hom.basis_image(i) == plain.basis_image(i)
