@@ -178,13 +178,14 @@ class TruncatedHom(AlgebraMap):
         return self.target.t_order(self.apply(element))
 
     def key(self):
-        """Canonical sort/dedup key: (N, image coefficient tuples)."""
+        """Canonical sort/dedup key: (N, image coefficient tuples).  The
+        search deduplicates on `_int_key`, equal exactly when this is."""
         return (self.truncation, tuple(img.coords for img in self.images))
 
     def to_record(self) -> dict:
         return {
             "N": self.truncation,
-            "images": [[str(c) for c in img.coords] for img in self.images],
+            "images": [["0" if c is ZERO else str(c) for c in img.coords] for img in self.images],
         }
 
     def describe(self) -> str:
@@ -480,10 +481,10 @@ def search_homs(
     number of candidates examined per strategy, "user" included (an
     int, or a mapping from strategy name to int; a strategy missing from
     the mapping gets 0).  Candidates are streamed, so a strategy does no
-    work beyond its budget.  Results are deduplicated by the canonical
-    key (N, images) of `TruncatedHom.key`, read once per candidate, and
-    returned in the order of that key, compared as integers by
-    `_sorted_by_key`; each hom's `gen_seq` is the number of homs kept
+    work beyond its budget.  Results are deduplicated by exact values on
+    `_int_key`, read once per candidate, and returned in the order of the
+    canonical key (N, images) of `TruncatedHom.key`, compared as integers
+    by `_sorted_by_key`; each hom's `gen_seq` is the number of homs kept
     before it.  An empty list is a legitimate outcome.
 
     "monomial" and "dense-random" propose only images of positive
@@ -503,28 +504,36 @@ def search_homs(
     for strat in strategies:
         stream = _STRATEGIES[strat](algebra, n_max, pool, seed, images)
         for hom in islice(stream, budgets.get(strat, 0)):
-            if hom is not None and found.setdefault(hom.key(), hom) is hom:
+            if hom is not None and found.setdefault(_int_key(hom), hom) is hom:
                 hom.gen_seq = len(found) - 1
-    return _sorted_by_key(found.values())
+    return _sorted_by_key(found, len(algebra.variables))
 
 
-def _sorted_by_key(homs):
-    """The homs in the order of their `key()`, compared as integers.
+def _int_key(hom: TruncatedHom) -> tuple:
+    """(N, then i*(N+1)+k, numerator, denominator for each nonzero t^k
+    coefficient of image i), each coordinate read once, the module's ZERO by
+    identity.  Fractions are normalized and N fixes every image's width, so
+    homs of one source have equal int keys exactly when their `key()`s are."""
+    width = hom.truncation + 1
+    key = [hom.truncation]
+    for i, img in enumerate(hom.images):
+        for k, c in enumerate(img.coords, i * width):
+            if c is not ZERO and c:
+                key += (k, c.numerator, c.denominator)
+    return tuple(key)
 
-    Every coefficient times the common denominator of all of them is an
-    integer, and that scaling keeps their order.  Homs of one N have
-    images of one length, so the flat tuple (N, scaled coefficients...)
-    orders them as `key()` does.  The search streams fill their images
-    with the module's ZERO, so most coefficients are read as 0 by identity.
-    """
-    homs = list(homs)
-    scale = math.lcm(*{
-        c.denominator for h in homs for img in h.images for c in img.coords if c is not ZERO
-    })
-    return sorted(
-        homs,
-        key=lambda h: (h.truncation, *(
-            0 if c is ZERO else c.numerator * (scale // c.denominator)
-            for img in h.images for c in img.coords
-        )),
-    )
+
+def _sorted_by_key(found: dict, nvars: int) -> list:
+    """The homs of {`_int_key`: hom}, of `nvars` images each, in `key()` order,
+    compared as integers: every coefficient times the lcm of all the
+    denominators is an integer, and that scaling keeps their order.  So the
+    dense list (N, scaled coefficients) of each key orders them as `key()` does."""
+    scale = math.lcm(*{den for key in found for den in key[3::3]})
+
+    def dense(key):
+        coeffs = [key[0]] + [0] * (nvars * (key[0] + 1))
+        for k, num, den in zip(key[1::3], key[2::3], key[3::3]):
+            coeffs[k + 1] = num * (scale // den)
+        return coeffs
+
+    return [found[key] for key in sorted(found, key=dense)]

@@ -32,7 +32,7 @@ from artinalg.truncated import (
     triangularize,
 )
 from artinalg import linalg
-from conftest import algebra_from_strings
+from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import random_element
 
 
@@ -502,11 +502,21 @@ class TestSearch:
 
 class TestSearchOrder:
     """`search_homs` returns the first hom found for each `key()`, sorted by
-    `TruncatedHom.key`, and reads `key()` once per hom the streams yield."""
+    `TruncatedHom.key`; it reads `truncated._int_key` once per hom the
+    streams yield and `key()` never."""
 
     MIXED_POOL = (1, Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 7), 3)
     # its zero is read to a Fraction(0) of its own, not truncated.ZERO
     POOL_WITH_ZERO = (0, 1, -1, Fraction(1, 2), Fraction(-1, 3))
+    # large coprime denominators and negative values
+    COPRIME_POOL = (-1, Fraction(1, 7), Fraction(-5, 11), Fraction(13, 1000003))
+    # the staircase families and golden, with their n_max
+    KEY_FAMILIES = {
+        **{f"q{r}": (lambda r=r: q_algebra(r), 12) for r in range(1, 6)},
+        "power_xy_4": (lambda: algebra_from_strings(
+            ("X", "Y"), ("X^4", "X^3*Y", "X^2*Y^2", "X*Y^3", "Y^4")), 12),
+        "golden": (lambda: algebra_from_strings(GOLDEN_VARS, GOLDEN_GENS), 8),
+    }
     # n_max and image sets with rational coefficients; the first two verify
     USER_CASES = {
         "golden": (8, [["1/2*t^3 + 1/3*t^4", "-2/3*t^3 + 5/7*t^5"], ["t^3", "t^3"], ["t", "t^2"]]),
@@ -516,9 +526,13 @@ class TestSearchOrder:
 
     def search_counting(self, monkeypatch, algebra, n_max, **kwargs):
         """The search's result and the homs its streams yielded, checking
-        that `key()` was read once per yielded hom."""
-        yielded, keyed = [], []
-        key = TruncatedHom.key
+        that `_int_key` was read once per yielded hom and `key()` never."""
+        yielded, int_keyed, keyed = [], [], []
+        int_key, key = truncated._int_key, TruncatedHom.key
+
+        def counting_int_key(hom):
+            int_keyed.append(hom)
+            return int_key(hom)
 
         def counting_key(hom):
             keyed.append(hom)
@@ -532,12 +546,14 @@ class TestSearchOrder:
                     yield hom
             return wrapped
 
+        monkeypatch.setattr(truncated, "_int_key", counting_int_key)
         monkeypatch.setattr(TruncatedHom, "key", counting_key)
         for name, stream in list(truncated._STRATEGIES.items()):
             monkeypatch.setitem(truncated._STRATEGIES, name, counted(stream))
         homs = search_homs(algebra, n_max, **kwargs)
         monkeypatch.undo()
-        assert len(keyed) == len(yielded)
+        assert int_keyed == yielded
+        assert keyed == []
         return homs, yielded
 
     def assert_sorted_first_of_each_key(self, homs, yielded):
@@ -547,6 +563,17 @@ class TestSearchOrder:
         assert [h.gen_seq for h in first.values()] == list(range(len(first)))
         unique = list(first.values())
         assert homs == sorted(unique, key=TruncatedHom.key)  # maps compare by identity
+
+    def assert_negatives_decide_the_order(self, homs):
+        """Some neighbours of one N first differ where a value is negative,
+        and the order is not that of the (numerator, denominator) pairs."""
+        def first_difference(a, b):
+            coeffs = [[c for img in h.images for c in img.coords] for h in (a, b)]
+            return next(pair for pair in zip(*coeffs) if pair[0] != pair[1])
+
+        assert any(min(first_difference(a, b)) < 0
+                   for a, b in zip(homs, homs[1:]) if a.truncation == b.truncation)
+        assert sorted(homs, key=truncated._int_key) != homs
 
     @pytest.mark.parametrize("n_max", [3, 6, 9])
     def test_mixed_denominators_at_several_n(self, monkeypatch, q2, n_max):
@@ -568,6 +595,7 @@ class TestSearchOrder:
         assert any(not c and c is not truncated.ZERO
                    for h in homs for img in h.images for c in img.coords)
         self.assert_sorted_first_of_each_key(homs, yielded)
+        self.assert_negatives_decide_the_order(homs)
 
     @pytest.mark.parametrize("name", list(USER_CASES))
     def test_user_homs_next_to_searched_ones(self, monkeypatch, request, name):
@@ -580,6 +608,39 @@ class TestSearchOrder:
         user_keys = {make_hom(algebra, n_max, images).key() for images in image_sets[:2]}
         assert user_keys <= {h.key() for h in homs}
         self.assert_sorted_first_of_each_key(homs, yielded)
+
+    @pytest.mark.parametrize("name", list(KEY_FAMILIES))
+    def test_int_keys_are_equal_exactly_when_keys_are(self, monkeypatch, name):
+        build, n_max = self.KEY_FAMILIES[name]
+        homs, yielded = self.search_counting(
+            monkeypatch, build(), n_max, strategy=("monomial", "dense-random"), budget=2500,
+        )
+        assert len(homs) < len(yielded)  # duplicates were dropped
+        pairs = {(truncated._int_key(h), h.key()) for h in yielded}
+        assert len(pairs) == len({k for k, _ in pairs}) == len({k for _, k in pairs})
+
+    @pytest.mark.parametrize("name", ["q2", "q3", "golden"])
+    def test_large_coprime_denominators_and_negative_values(self, monkeypatch, request, name):
+        homs, yielded = self.search_counting(
+            monkeypatch, request.getfixturevalue(name), 6, strategy=("monomial", "dense-random"),
+            budget=300, coefficient_pool=self.COPRIME_POOL,
+        )
+        self.assert_sorted_first_of_each_key(homs, yielded)
+        self.assert_negatives_decide_the_order(homs)
+
+    @pytest.mark.parametrize("strategy", ["monomial", "dense-random"])
+    def test_the_search_hashes_no_fraction(self, monkeypatch, q3, strategy):
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counting_hash(c):
+            hashed.append(c)
+            return fraction_hash(c)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        homs = search_homs(q3, 12, strategy=strategy, budget=1000)
+        monkeypatch.undo()
+        assert homs and hashed == []
 
 
 class TestComposition:
