@@ -75,7 +75,8 @@ class Subspace:
         Raises InvalidArgumentError for an `ambient_dim` that is not an int
         >= 0 or an unreadable vector, and VariableMismatchError for a vector
         whose length is not `ambient_dim`.  The invariants, whose rows are
-        exact already, build `Subspace(owner, dim, *linalg.rref(rows))`.
+        exact already, build `Subspace(owner, dim, *linalg.rref(rows))`;
+        the grading builds its components from unit rows, with no `rref` call.
         """
         _require_integer(ambient_dim, "ambient_dim", 0)
         rows = [_fractions(v, "a vector") for v in _sequence(vectors, "vectors")]
@@ -678,13 +679,11 @@ def maximal_ideal(algebra: ArtinAlgebra) -> Subspace:
 def _power_dims(algebra: ArtinAlgebra) -> tuple:
     """The dimensions of M, M^2, ... for M the nilradical, nonzero powers
     only; M^(k+1) is the span of the products of the rows of M^k and M."""
-    m = power = nilradical(algebra)
+    m = power = nilradical(algebra).rows
     dims = []
-    while not power.is_zero():
-        dims.append(power.dim)
-        power = Subspace(None, algebra.dim, *linalg.rref(
-            [algebra.multiply_coords(u, v) for u in power.rows for v in m.rows]
-        ))
+    while power:
+        dims.append(len(power))
+        power = linalg.rref([algebra.multiply_coords(u, v) for u in power for v in m])[0]
     return tuple(dims)
 
 
@@ -729,11 +728,10 @@ def grading_info(algebra: ArtinAlgebra) -> GradingInfo:
     graded = all(p.is_homogeneous() for p in algebra.gb.polys)
     components: tuple = ()
     if graded:
+        # unit rows in basis order are in reduced row echelon form already
         components = tuple(
-            Subspace(algebra, algebra.dim, *linalg.rref(
-                [algebra.basis_element(i).coords for i in algebra.degree_indices(d)]
-            ))
-            for d in range(max(algebra.degrees) + 1)
+            Subspace(algebra, algebra.dim, [algebra.basis_element(i).coords for i in idx], idx)
+            for idx in map(algebra.degree_indices, range(max(algebra.degrees) + 1))
         )
     return GradingInfo(graded, components, nilpotency_index(algebra))
 

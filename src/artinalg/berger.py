@@ -41,6 +41,7 @@ from .algebra import (
     socle,
 )
 from .errors import (
+    DependentInputError,
     IncompatibleAlgebrasError,
     NotDegreeOneError,
     NotGorensteinError,
@@ -322,7 +323,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
     matrix = [[columns[i][k] for i in range(q.dim)] for k in range(quotient.dim)]
     try:
         inverse = linalg.invert_matrix(matrix)
-    except ValueError:
+    except DependentInputError:
         result.iso_check = IsoCheck(
             False, expected, quotient.dim, detail="induced map is not invertible"
         )

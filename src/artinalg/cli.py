@@ -42,6 +42,7 @@ from .algebra import (
     socle,
 )
 from .berger import (
+    _kill_report,
     critical_degree_search,
     omega_witness,
     socle_kill_check,
@@ -241,21 +242,21 @@ def cmd_tau(args) -> tuple[dict, int]:
         raise AlgebraFileError("tau needs --witness <polynomial> or --r <int>")
     homs = _search(algebra, args)
     element_part = {"element": None}
-    element_violations = []
+    ok = True
     if element is not None:
-        element_text = element.to_polynomial().to_string(algebra.order)
-        element_violations = [h for h in homs if not h.apply(element).is_zero()]
+        check = _kill_report(element, homs, element.to_polynomial().to_string(algebra.order), {})
         element_part = {
-            "element": element_text,
-            "element_killed_by_all": not element_violations,
-            "element_violations": [h.to_record() for h in element_violations],
+            "element": check.witness_text,
+            "element_killed_by_all": check.all_killed,
+            "element_violations": [h.to_record() for h in check.violations],
         }
+        ok = check.all_killed
     report = tau_membership_check(algebra, witness_form, homs)
     results = {
         **element_part,
         **report.to_record(include_homs=args.include_homs),
     }
-    ok = report.all_killed and not element_violations
+    ok = ok and report.all_killed
     return _report("tau", args, variables, gens, results), _exit_code(homs, ok)
 
 

@@ -3,11 +3,11 @@
 Row-echelon machinery shared by the Groebner, algebra, differentials and
 truncated layers.  Vectors are sequences of `fractions.Fraction`; all
 routines are deterministic (first usable pivot wins) so every downstream
-basis is reproducible.  `echelon` is the one forward elimination:
-`rank` counts its pivots, `truncated.triangularize` runs it on image
-columns, and `rref` is `echelon` plus back-substitution (each pivot row
-normalized, then its column cleared from the rows before it), which
-`kernel_basis`, `invert_matrix` and every `algebra.Subspace` read.
+basis is reproducible.  `_forward` is the one forward elimination, which
+finds and normalizes each pivot once: `echelon` hands out its pivot rows
+as taken (`truncated.triangularize` runs it on image columns), `rank`
+counts them, and `rref` back-substitutes the normalized supports it kept,
+which `kernel_basis`, `invert_matrix` and every `algebra.Subspace` read.
 Each structural invariant is one `kernel_basis`: where two kernels meet
 is the kernel of both systems of equations stacked.
 
@@ -27,17 +27,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .errors import DependentInputError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _take_pivot(work, col):
-    """Remove and return the first row of `work` nonzero in `col`, or None."""
-    for idx, r in enumerate(work):
-        if r[col]:
-            del work[idx]
-            return r
-    return None
 
 
 def _normalized(pivot_row, col):
@@ -80,61 +73,67 @@ def in_span(vec, rows, pivots) -> bool:
     return not any(reduce_vector(vec, rows, pivots))
 
 
-def echelon(rows, ncols=None):
-    """Forward elimination (no back substitution) over the first `ncols`
-    columns, all of them by default.
+def _forward(rows, ncols=None):
+    """The forward elimination over the first `ncols` columns, all of them
+    by default; the input rows are not modified.
 
-    Returns (pivot_rows, rest).  The pivot rows are listed in the order
-    taken, one per pivot column in increasing order, each as it stood when
-    taken (not normalized); at each column the first remaining row that
-    is nonzero there is taken.  `rest` holds the other rows that are still
+    Returns (pivots, rest).  At each column in increasing order the first
+    remaining row that is nonzero there is taken, normalized once and used
+    to clear the column; `pivots` lists (column, row as taken, normalized
+    support) per pivot.  `rest` holds the other rows that are still
     nonzero, in input order; they are zero on the first `ncols` columns.
-    Zero rows are dropped; the input rows are not modified.
     """
     work = [r for r in map(list, rows) if any(r)]
     if ncols is None:
         ncols = len(work[0]) if work else 0
-    pivot_rows = []
+    pivots = []
     for col in range(ncols):
-        pivot = _take_pivot(work, col)
-        if pivot is None:
-            continue
-        pivot_rows.append(pivot)
         if not work:
             break
-        work = _eliminate(work, col, _normalized(pivot, col))
-    return pivot_rows, work
+        for idx, row in enumerate(work):
+            if row[col]:
+                break
+        else:
+            continue
+        del work[idx]
+        support = _normalized(row, col)
+        pivots.append((col, row, support))
+        work = _eliminate(work, col, support)
+    return pivots, work
+
+
+def echelon(rows, ncols=None):
+    """The pivot rows of `_forward` over the first `ncols` columns (all by
+    default), each as it stood when taken (not normalized), and its rest."""
+    pivots, rest = _forward(rows, ncols)
+    return [row for _, row, _ in pivots], rest
 
 
 def rank(rows) -> int:
-    """Row rank: the number of pivots of `echelon`."""
-    return len(echelon(rows)[0])
+    """Row rank: the number of pivots of `_forward`."""
+    return len(_forward(rows)[0])
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form: `echelon`, then back-substitution.
+    """Reduced row echelon form: `_forward`, then back-substitution of the
+    normalized supports it kept.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped and
     pivot columns are strictly increasing.
     """
+    pivots = _forward(rows)[0]
     out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    col = -1
-    for pivot_row in echelon(rows)[0]:
-        # pivot columns increase, and a pivot row is zero before its own
-        col = next(k for k in range(col + 1, len(pivot_row)) if pivot_row[k])
-        support = _normalized(pivot_row, col)
+    for col, taken, support in pivots:
         for prev in out:
             f = prev[col]
             if f:
                 for k, b in support:
                     prev[k] -= f * b
-        row = [ZERO] * len(pivot_row)
+        row = [ZERO] * len(taken)
         for k, b in support:
             row[k] = b
         out.append(row)
-        pivots.append(col)
-    return out, pivots
+    return out, [col for col, _, _ in pivots]
 
 
 def kernel_basis(rows, ncols: int):
@@ -158,10 +157,10 @@ def kernel_basis(rows, ncols: int):
 
 
 def invert_matrix(rows):
-    """Inverse of a square matrix; raises ValueError when singular."""
+    """Inverse of a square matrix; raises DependentInputError when singular."""
     n = len(rows)
     aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
     red, pivots = rref(aug)
     if len(red) != n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
+        raise DependentInputError("matrix is singular")
     return [row[n:] for row in red]

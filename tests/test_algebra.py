@@ -7,13 +7,14 @@ from itertools import product as iter_product
 
 import pytest
 
-from artinalg import groebner
+from artinalg import groebner, linalg
 from artinalg.algebra import (
     AlgebraElement,
     AlgebraMap,
     ArtinAlgebra,
     GradingInfo,
     Subspace,
+    _power_dims,
     build_algebra,
     embedding_dimension,
     euler_derivation,
@@ -235,6 +236,17 @@ class TestPowerChain:
         with pytest.raises(NotLocalOverQError):
             embedding_dimension(A)
 
+    @pytest.mark.parametrize(
+        "variables, gens",
+        [(("X",), ("X^5 - 3*X^4 + 3*X^3 - X^2",)), (("X", "Y"), ("X^2 - X", "Y^3", "X*Y^2"))],
+        ids=["X^2(X-1)^3", "X^2-X,Y^3,XY^2"],
+    )
+    def test_neither_local_nor_reduced(self, variables, gens):
+        A = algebra_from_strings(variables, gens)
+        assert not is_local_over_q(A) and nilradical(A).dim > 0
+        assert _power_dims(A) == (3, 1)
+        assert nilpotency_index(A) == 2
+
     def test_invariants_are_computed_once(self, monkeypatch):
         A = algebra_from_strings(GOLDEN_VARS, GOLDEN_GENS)
         assert nilpotency_index(A) == 5
@@ -262,6 +274,36 @@ class TestGrading:
         assert info.is_standard_graded
         assert [c.dim for c in info.components] == [1, 2, 3, 4]
         assert info.nilpotency_index == 3
+
+    @pytest.mark.parametrize(
+        "variables, gens",
+        [
+            (("X", "Y"), ("X^3", "X^2*Y", "Y^2")),
+            (("X", "Y", "Z"), ("X^4", "Y^4", "Z^4", "X*Y*Z")),
+            (("X",), ("X^5",)),
+            ((), ("0",)),
+        ],
+        ids=["q2", "xyz-fourth", "X^5", "field"],
+    )
+    def test_components_are_unit_rows_with_no_elimination(self, monkeypatch, variables, gens):
+        A = algebra_from_strings(variables, gens)
+        nilpotency_index(A)  # the power chain eliminates; the grading must not
+        calls = []
+        rref = linalg.rref
+
+        def counting(rows):
+            calls.append(rows)
+            return rref(rows)
+
+        monkeypatch.setattr(linalg, "rref", counting)
+        components = grading_info(A).components
+        assert calls == []
+        assert len(components) == max(A.degrees) + 1
+        for d, component in enumerate(components):
+            units = [A.basis_element(i).coords for i in A.degree_indices(d)]
+            assert component == Subspace.from_vectors(units, A.dim, A)
+            assert component.pivots == tuple(A.degree_indices(d))
+            assert component.owner is A
 
     def test_golden_is_not_graded(self, golden):
         assert not grading_info(golden).is_standard_graded

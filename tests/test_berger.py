@@ -27,6 +27,7 @@ from artinalg.berger import (
     tau_witness_gorenstein,
 )
 from artinalg.errors import (
+    DependentInputError,
     IncompatibleAlgebrasError,
     NotDegreeOneError,
     NotGorensteinError,
@@ -152,6 +153,16 @@ class TestSurjection:
             a = random_element(rng, m4)
             b = random_element(rng, m4)
             assert result.to_q.apply(a * b) == result.to_q.apply(a) * result.to_q.apply(b)
+
+    def test_a_singular_induced_map_is_a_failed_check(self, q2, monkeypatch):
+        def singular(rows):
+            raise DependentInputError("matrix is singular")
+
+        monkeypatch.setattr(linalg, "invert_matrix", singular)
+        result = surjection_to_q(q2, make_hom(q2, 5, ["t^2", "t^3"]), 2)
+        assert not result.iso_check.passed
+        assert result.iso_check.detail == "induced map is not invertible"
+        assert result.q is None and result.to_q is None
 
     def test_insufficient_witness_rejected(self, m4):
         weak = make_hom(m4, 3, ["t", "t"])  # kills everything of degree 3

@@ -466,6 +466,26 @@ class TestTau:
         assert res["element_killed_by_all"] is True
         assert res["nonzero"] is True
 
+    def test_element_check_is_the_kill_report(self, capsys, monkeypatch, chain_path):
+        reports = []
+        kill_report = berger._kill_report
+
+        def recording(*args, **kwargs):
+            reports.append(kill_report(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "_kill_report", recording)
+        code, report = run_json(
+            capsys, ["tau", chain_path, "--witness", "X", "--nmax", "4", "--budget", "50"]
+        )
+        assert code == 3
+        (check,) = reports
+        assert check.kind == "element" and check.violations
+        res = report["results"]
+        assert res["element"] == check.witness_text == "X"
+        assert res["element_killed_by_all"] is check.all_killed is False
+        assert res["element_violations"] == [h.to_record() for h in check.violations]
+
     def test_violation_exit_code(self, capsys, chain_path):
         code = main(
             ["tau", chain_path, "--witness", "X", "--nmax", "4", "--budget", "50"]

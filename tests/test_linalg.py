@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from artinalg import linalg
 from artinalg.algebra import build_algebra, nilradical
+from artinalg.errors import ArtinalgError, DependentInputError
 from artinalg.polycore import Monomial, Polynomial
 
 # zero listed twice, so that about two entries in three are zero
@@ -108,10 +110,10 @@ def test_edge_shapes():
     assert linalg.rank([[3], [0], [-6]]) == 1
 
 
-def test_products_of_a_maximal_ideal_against_sympy():
-    # the rows the first step of the power chain (`algebra._power_dims`)
-    # passes to `Subspace.from_vectors` for M * M in Q[X,Y,Z]/<X,Y,Z>^4:
-    # 19 * 19 products of dimension 20
+def maximal_ideal_products():
+    """The rows the first step of the power chain (`algebra._power_dims`)
+    passes to `linalg.rref` for M * M in Q[X,Y,Z]/<X,Y,Z>^4: 19 * 19
+    products of dimension 20."""
     xyz = ("X", "Y", "Z")
     gens = [
         Polynomial.from_monomial(xyz, Monomial((a, b, 4 - a - b)))
@@ -120,8 +122,54 @@ def test_products_of_a_maximal_ideal_against_sympy():
     ]
     algebra = build_algebra(xyz, gens)
     m = nilradical(algebra)
-    rows = [algebra.multiply_coords(u, v) for u in m.rows for v in m.rows]
+    return [algebra.multiply_coords(u, v) for u in m.rows for v in m.rows]
+
+
+def test_products_of_a_maximal_ideal_against_sympy():
+    rows = maximal_ideal_products()
     assert (len(rows), len(rows[0])) == (361, 20)
     reduced, pivots = linalg.rref(rows)
     assert (reduced, pivots) == sympy_rref(rows)
     assert len(pivots) == 16  # M^2 is spanned by the monomials of degree 2 and 3
+
+
+def assert_one_normalization_per_pivot(monkeypatch, rows, ncols):
+    """rref, echelon and rank each find and normalize every pivot once."""
+    calls = []
+    normalized = linalg._normalized
+
+    def counting(pivot_row, col):
+        calls.append(col)
+        return normalized(pivot_row, col)
+
+    monkeypatch.setattr(linalg, "_normalized", counting)
+    pivots = linalg.rref(rows)[1]
+    assert calls == pivots
+    calls.clear()
+    pivot_rows = linalg.echelon(rows, ncols)[0]
+    leads = [next(k for k, c in enumerate(r) if c) for r in pivot_rows]
+    assert calls == leads
+    calls.clear()
+    assert linalg.rank(rows) == len(calls) == len(pivots)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(rows=matrices(), data=st.data())
+def test_one_normalization_per_pivot(rows, data):
+    ncols = data.draw(st.integers(0, len(rows[0])))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_one_normalization_per_pivot(monkeypatch, rows, ncols)
+
+
+def test_one_normalization_per_pivot_of_maximal_ideal_products(monkeypatch):
+    rows = maximal_ideal_products()
+    assert_one_normalization_per_pivot(monkeypatch, rows, len(rows[0]))
+
+
+def test_a_singular_matrix_is_a_dependent_input():
+    with pytest.raises(DependentInputError, match="matrix is singular") as raised:
+        linalg.invert_matrix([[1, 2], [2, 4]])
+    assert isinstance(raised.value, ArtinalgError)
+    assert linalg.invert_matrix([[2, 0], [1, 1]]) == [
+        [Fraction(1, 2), Fraction(0)], [Fraction(-1, 2), Fraction(1)]
+    ]
