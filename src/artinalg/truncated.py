@@ -27,8 +27,9 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import islice, product as iter_product
+from itertools import islice, product as iter_product, repeat
 from numbers import Rational
+from operator import mul
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraMap, ArtinAlgebra, _foreign, _fractions, _require_local
@@ -138,13 +139,29 @@ class TruncatedHom(AlgebraMap):
     -1 for a hom built outside `search_homs`.
     """
 
-    __slots__ = ("gen_seq", "_orders")
+    __slots__ = ("gen_seq", "_orders", "_key")
 
     def __init__(self, source: ArtinAlgebra, target: TruncatedPolyAlgebra, images, verify: bool = True):
         # set before AlgebraMap.__init__, which may verify and so evaluate
-        self._orders = None
+        self._orders = self._key = None
         super().__init__(source, target, images, verify)
         self.gen_seq = -1
+
+    @classmethod
+    def _raw(cls, source, target, images, orders, key):
+        """Internal constructor; `images` must already be elements of `target`,
+        one per source variable.  `orders` is their `image_orders()` and `key`
+        their `_int_key`, either None to be computed when read.  Nothing is
+        checked or verified."""
+        self = object.__new__(cls)
+        self.source = source
+        self.target = target
+        self.images = tuple(images)
+        self._monomial_images = {}
+        self._orders = orders
+        self._key = key
+        self.gen_seq = -1
+        return self
 
     def image_orders(self) -> tuple:
         """The t-order of each variable image, N+1 for a zero image; computed once.
@@ -301,11 +318,6 @@ def _degree_groups(gens, profile, n_max: int, sure_singles: bool):
     the other groups of degree below `bound` as
     (degree, [(exponents, a), ...]), lowest degree first.  A group of
     degree above n_max is left out: like a zero group it allows N = n_max.
-
-    When every generator is one term, `profile` may be the t-orders of
-    images of any shape (N+1 for a zero image) with `sure_singles` true:
-    each term's image is a nonzero multiple of t^(e·α) plus higher terms,
-    so the images kill every generator exactly when `bound` exceeds N.
     """
     bound = n_max + 1
     colliding = []
@@ -329,23 +341,50 @@ def _group_is_nonzero(terms, coeffs) -> bool:
     return sum(a * math.prod(c**e for c, e in zip(coeffs, exps) if e) for exps, a in terms) != 0
 
 
+def _image_table(profile, pool, n):
+    """For each variable i, one entry per pool coefficient c: the image
+    c*t^(e_i) in Q[t]/<t^(n+1)>, its t-order and its part of `_int_key`,
+    (i*(n+1)+e_i, numerator, denominator).  A zero c or an e_i above n gives
+    the one zero image, order n+1 and no key part."""
+    target = TruncatedPolyAlgebra(n)
+    zeros = (ZERO,) * (n + 1)
+    zero = (AlgebraElement._raw(target, zeros), n + 1, ())
+    return [
+        [(AlgebraElement._raw(target, zeros[:e] + (c,) + zeros[e + 1:]), e,
+          (i * (n + 1) + e, c.numerator, c.denominator)) if e <= n and c else zero
+         for c in pool]
+        for i, e in enumerate(profile)
+    ]
+
+
 def _monomial_stream(algebra, n_max, pool, seed, user_images):
     """X_i -> c_i t^(e_i) over all exponent profiles, largest valid target.
 
     The candidate's N is one less than the least degree, at most n_max,
     of a nonzero degree group of some generator (`_degree_groups`), and
-    n_max if there is none.  The groups, and so the integer bound that the
-    single-term groups set, are computed once per profile; only groups in
-    which terms share a degree below that bound, and so may cancel, are
-    evaluated with Fractions for each coefficient tuple, lowest degree
-    first.  Images are cut from one zero tuple per candidate, and
-    `image_orders` is set from the profile (N+1 for an exponent above N or
-    a zero coefficient): the pool and the profile need no second reading.
+    n_max if there is none.  The groups are computed once per profile.
+    Without colliding groups N is one int for the whole profile, and each
+    candidate picks its images, their t-orders and its `_int_key` from one
+    `_image_table`, so images are shared between homs.  Otherwise only the
+    colliding groups, whose terms share a degree below that bound and so
+    may cancel, are evaluated with Fractions for each coefficient tuple,
+    lowest degree first; the images are cut from one zero tuple per
+    candidate, with `image_orders` set from the profile.
     """
     nvars = len(algebra.variables)
     sure_singles = all(pool)
     for profile in _monomial_profiles(nvars, n_max):
         bound, colliding = _degree_groups(algebra.gens, profile, n_max, sure_singles)
+        if not colliding:
+            n = bound - 1
+            if n < 1:
+                yield from repeat(None, len(pool) ** nvars)
+                continue
+            target = TruncatedPolyAlgebra(n)
+            for entries in iter_product(*_image_table(profile, pool, n)):
+                images, orders, parts = zip(*entries)
+                yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)))
+            continue
         for coeffs in iter_product(pool, repeat=nvars):
             n = next((d for d, terms in colliding if _group_is_nonzero(terms, coeffs)), bound) - 1
             if n < 1:
@@ -360,59 +399,66 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
                 else:
                     images.append(AlgebraElement._raw(target, zeros))
                     orders.append(n + 1)
-            hom = TruncatedHom(algebra, target, images, verify=False)
-            hom._orders = tuple(orders)
-            yield hom
+            yield TruncatedHom._raw(algebra, target, images, tuple(orders), None)
 
 
 def _dense_random_stream(algebra, n_max, pool, seed, user_images):
     """Random polynomial images of positive order, verified exactly.
 
-    Each image's t-order is recorded as drawn (the lead, or `t_order` when
-    the pool put 0 there) and set as `image_orders`.  On a monomial
-    presentation, every generator one term a*X^α, the orders decide the
-    candidate: a*X^α maps to a*∏lc_i^α_i*t^(α·orders) plus higher terms,
-    nonzero exactly when α·orders <= N (Q is a domain), as `_degree_groups`
-    reads it.  Any other presentation is verified by `violation()`; the
-    ROADMAP's per-generator order rule would replace that for every
-    presentation once perfbench stops keeping each pass's report text.
+    Each image's t-order (the lead, or `t_order` when the pool put 0
+    there) and each nonzero coefficient's part of `_int_key` are recorded
+    as drawn, so a yielded hom carries its `image_orders` and its key.  On
+    a monomial presentation, every generator one term a*X^α, the orders
+    decide the candidate: a*X^α maps to a*∏lc_i^α_i*t^(α·orders) plus
+    higher terms, nonzero exactly when α·orders <= N (Q is a domain).  Any
+    other presentation is verified by `violation()`; the ROADMAP's
+    per-generator order rule would replace that for every presentation
+    once perfbench stops keeping each pass's report text.
     """
     rng = random.Random(f"{seed}:dense-random:{n_max}")
     nvars = len(algebra.variables)
     monomial = all(len(g.terms) == 1 for g in algebra.gens)
+    gen_exps = [mono.exps for g in algebra.gens for mono in g.terms] if monomial else ()
     while True:
         n = rng.randint(1, n_max)
         target = TruncatedPolyAlgebra(n)
-        images, orders = [], []
-        for _ in range(nvars):
+        images, orders, drawn = [], [], []
+        for i in range(nvars):
             lead = rng.randint(1, n)
             coeffs = [ZERO] * (n + 1)
-            coeffs[lead] = rng.choice(pool)
-            for k in range(lead + 1, min(n, lead + 4) + 1):
-                if rng.random() < 0.4:
-                    coeffs[k] = rng.choice(pool)
+            for k in range(lead, min(n, lead + 4) + 1):
+                if k == lead or rng.random() < 0.4:
+                    c = coeffs[k] = rng.choice(pool)
+                    if c:
+                        drawn += (i * (n + 1) + k, c.numerator, c.denominator)
             image = AlgebraElement._raw(target, tuple(coeffs))
             images.append(image)
             orders.append(lead if coeffs[lead] else target.t_order(image))
-        if monomial and _degree_groups(algebra.gens, orders, n, True)[0] <= n:
+        if monomial and any(sum(map(mul, a, orders)) <= n for a in gen_exps):
             yield None
             continue
-        probe = TruncatedHom(algebra, target, images, verify=False)
-        probe._orders = tuple(orders)
-        yield probe if monomial or probe.violation() is None else None
+        probe = TruncatedHom._raw(algebra, target, images, tuple(orders), None)
+        if monomial or probe.violation() is None:
+            probe._key = (n, *drawn)
+            yield probe
+        else:
+            yield None
 
 
 def _user_stream(algebra, n_max, pool, seed, user_images):
     """The supplied image sets, each verified at truncation n_max.
 
     An entry that is already a `TruncatedHom` of the algebra at n_max is
-    taken as verified and yielded as it is.
+    taken as verified and yielded as a copy sharing its images, t-orders
+    and key, so the search never changes a hom it was given.
     """
     for image_set in [user_images] if _is_image(user_images[0]) else user_images:
         if isinstance(image_set, TruncatedHom):
             if image_set.source is not algebra or image_set.truncation != n_max:
                 raise IncompatibleAlgebrasError("user hom has another source or truncation")
-            yield image_set
+            yield TruncatedHom._raw(
+                algebra, image_set.target, image_set.images, image_set._orders, image_set._key
+            )
             continue
         try:
             hom = make_hom(algebra, n_max, image_set)
@@ -469,15 +515,17 @@ def search_homs(
     (coefficients from a fixed rational pool) and pairs each with the
     largest truncation it verifies at, read from the generators' terms
     grouped by t-degree once per profile (Fractions only for groups whose
-    terms share a degree); "dense-random" rejection-samples
-    seeded random images of positive order, decided on a monomial
-    presentation (every generator one term) by the images' t-orders
-    alone and verified exactly otherwise; both streams set each hom's
-    `image_orders` from the draw; "user" verifies explicitly
-    supplied images and keeps the valid ones: `images` is one image set
-    (the images of `make_hom`; a sequence of rationals is one image) or
-    a list of image sets, and a supplied `TruncatedHom` is taken as
-    verified.  The budget caps the
+    terms share a degree; one image table per profile without such
+    groups, so each variable's images are built once per profile);
+    "dense-random" rejection-samples seeded random images of positive
+    order, decided on a monomial presentation (every generator one term)
+    by the images' t-orders alone and verified exactly otherwise; both
+    streams set each hom's `image_orders` and dedup key from the draw;
+    "user" verifies explicitly supplied images and keeps the valid ones:
+    `images` is one image set (the images of `make_hom`; a sequence of
+    rationals is one image) or a list of image sets, and a supplied
+    `TruncatedHom` is taken as verified and kept as a copy, so the search
+    never changes a hom it was given.  The budget caps the
     number of candidates examined per strategy, "user" included (an
     int, or a mapping from strategy name to int; a strategy missing from
     the mapping gets 0).  Candidates are streamed, so a strategy does no
@@ -511,9 +559,19 @@ def search_homs(
 
 def _int_key(hom: TruncatedHom) -> tuple:
     """(N, then i*(N+1)+k, numerator, denominator for each nonzero t^k
-    coefficient of image i), each coordinate read once, the module's ZERO by
-    identity.  Fractions are normalized and N fixes every image's width, so
-    homs of one source have equal int keys exactly when their `key()`s are."""
+    coefficient of image i).  Fractions are normalized and N fixes every
+    image's width, so homs of one source have equal int keys exactly when
+    their `key()`s are.  The monomial stream (on a profile without colliding
+    groups) and the dense-random stream set it from the draw; any other hom
+    is read once by `_scanned_key` and keeps the result."""
+    if hom._key is None:
+        hom._key = _scanned_key(hom)
+    return hom._key
+
+
+def _scanned_key(hom: TruncatedHom) -> tuple:
+    """`_int_key` read from the images, each coordinate once, the module's
+    ZERO by identity."""
     width = hom.truncation + 1
     key = [hom.truncation]
     for i, img in enumerate(hom.images):

@@ -20,7 +20,7 @@ from artinalg.errors import (
     NotLocalOverQError,
     RelationViolatedError,
 )
-from artinalg.berger import q_algebra
+from artinalg.berger import critical_degree_search, q_algebra
 from artinalg.kahler import kahler_module
 from artinalg.truncated import (
     DEFAULT_COEFF_POOL,
@@ -398,11 +398,26 @@ class TestSearch:
 
     def test_user_strategy_takes_a_built_hom(self, q2, q3):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
-        assert search_homs(q2, 5, strategy="user", images=[hom]) == [hom]
-        assert hom.gen_seq == 0
+        assert [h.key() for h in search_homs(q2, 5, strategy="user", images=[hom])] == [hom.key()]
+        assert hom.gen_seq == -1
         for algebra, n_max in ((q2, 6), (q3, 5)):
             with pytest.raises(IncompatibleAlgebrasError):
                 search_homs(algebra, n_max, strategy="user", images=[hom])
+
+    def test_a_user_search_leaves_the_given_homs_as_they_are(self):
+        # a family's scan order is its gen_seq: searching its N = 12 homs
+        # again, reversed, must not renumber them and so change the witness
+        A = q_algebra(3)
+        homs = search_homs(A, 12, ("monomial", "dense-random"), 2500, 0)
+        before = critical_degree_search(A, homs)
+        seqs = [h.gen_seq for h in homs]
+        top = [h for h in homs if h.truncation == 12][::-1]
+        again = search_homs(A, 12, strategy="user", images=top, budget=len(top))
+        assert [h.key() for h in again] == sorted(h.key() for h in top)
+        assert [h.gen_seq for h in homs] == seqs
+        after = critical_degree_search(A, homs)
+        assert after.witnesses[2].hom is before.witnesses[2].hom
+        assert after.witnesses[2].hom.describe() == "[N=3] X -> t, Y -> t^2"
 
     def test_not_local_rejected(self, split_quadratic):
         with pytest.raises(NotLocalOverQError):
@@ -916,3 +931,78 @@ class TestDenseRandomStream:
         assert got == list(islice(reference_dense_random_keys(A, n_max, pool, seed), budget))
         for hom in filter(None, homs):
             assert hom.image_orders() == tuple(map(hom.target.t_order, hom.images))
+
+
+class TestKeysFromTheDraw:
+    """The monomial and dense-random streams build their homs with
+    `TruncatedHom._raw`, each carrying the `_int_key` of its images from
+    the draw; such a hom reads as the verified hom of the same images."""
+
+    def assert_keys_from_the_draw(self, algebra, stream):
+        # unit-line and mixed have no hom of positive order: nothing to compare
+        for hom in filter(None, stream):
+            rebuilt = make_hom(algebra, hom.truncation, hom.images)
+            assert truncated._int_key(hom) == truncated._scanned_key(rebuilt)
+
+    @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
+    @pytest.mark.parametrize(
+        "presentation, n_max",
+        [pytest.param(p, n, id=name) for name, p, n in TestMonomialStream.INPUTS],
+    )
+    def test_monomial_keys_equal_the_scanned_keys(self, presentation, n_max, pool):
+        A = algebra_from_strings(*presentation)
+        stream = truncated._monomial_stream(A, n_max, pool, 0, None)
+        self.assert_keys_from_the_draw(A, islice(stream, 600))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
+    @pytest.mark.parametrize(
+        "presentation, n_max",
+        [pytest.param(p, n, id=name) for name, p, n in TestDenseRandomStream.INPUTS],
+    )
+    def test_dense_random_keys_equal_the_scanned_keys(self, presentation, n_max, pool, seed):
+        A = algebra_from_strings(*presentation)
+        stream = truncated._dense_random_stream(A, n_max, pool, seed, None)
+        self.assert_keys_from_the_draw(A, islice(stream, 400))
+
+    def test_staircase_searches_scan_no_key(self, monkeypatch):
+        scanned = []
+        scanned_key = truncated._scanned_key
+
+        def counting(hom):
+            scanned.append(hom)
+            return scanned_key(hom)
+
+        monkeypatch.setattr(truncated, "_scanned_key", counting)
+        # the whole monomial space (144 profiles of 49 tuples) and 2500 draws
+        budget = {"monomial": 144 * 49, "dense-random": 2500}
+        for _, variables, gens in TestMonomialStream.STAIRCASE_INPUTS:
+            A = algebra_from_strings(variables, gens)
+            assert len(search_homs(A, 12, ("monomial", "dense-random"), budget, 0)) > 1000
+        assert scanned == []
+
+    @pytest.mark.parametrize("name", ["q3", "golden", "colliding"])
+    def test_a_raw_hom_reads_as_the_verified_hom(self, request, name):
+        if name == "colliding":
+            A = algebra_from_strings(*TestMonomialStream.COLLIDING)
+        else:
+            A = request.getfixturevalue(name)
+        pool = TestMonomialStream.POOLS[1]
+        streams = [
+            truncated._monomial_stream(A, 8, DEFAULT_COEFF_POOL, 0, None),
+            truncated._monomial_stream(A, 8, pool, 0, None),
+            truncated._dense_random_stream(A, 8, pool, 3, None),
+        ]
+        rng = random.Random(71)
+        elements = [random_element(rng, A) for _ in range(4)] + [A.variable_element(v) for v in A.variables]
+        for stream in streams:
+            for hom in islice(filter(None, stream), 0, 300, 30):
+                rebuilt = make_hom(A, hom.truncation, hom.images)
+                square = make_hom(hom.target, hom.truncation, ["t^2"])
+                assert hom.image_orders() == rebuilt.image_orders()
+                assert hom.describe() == rebuilt.describe()
+                assert hom.to_record() == rebuilt.to_record()
+                assert hom.then(square).key() == rebuilt.then(square).key()
+                for a in elements:
+                    assert hom.apply(a) == rebuilt.apply(a)
+                    assert hom.valuation(a) == rebuilt.valuation(a)
