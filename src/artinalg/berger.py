@@ -50,7 +50,7 @@ from .errors import (
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
 from .polycore import _require_integer, _sequence
-from .truncated import TruncatedHom, make_hom, triangularize
+from .truncated import TruncatedHom, _single_term, make_hom, triangularize
 
 ZERO = Fraction(0)
 
@@ -124,13 +124,17 @@ def _image_rank(algebra: ArtinAlgebra, hom: TruncatedHom, degree: int) -> int:
     return linalg.rank([hom.basis_image(i).coords for i in algebra.degree_indices(degree)])
 
 
-def _is_single_term(hom: TruncatedHom) -> bool:
-    """Does every variable image have at most one nonzero coefficient, its lead?"""
-    return not any(any(img.coords[o + 1:]) for img, o in zip(hom.images, hom.image_orders()))
-
-
 def _scan_order(homs) -> list:
-    """The homs by (gen_seq, key()); key() is read only where gen_seq ties."""
+    """The homs by (gen_seq, key()).  A family whose gen_seqs are a
+    permutation of 0..n-1, as `search_homs` numbers its result, is placed
+    by slot; otherwise key() is read only where gen_seq ties."""
+    slots = [None] * len(homs)
+    for hom in homs:
+        if not 0 <= hom.gen_seq < len(slots) or slots[hom.gen_seq] is not None:
+            break
+        slots[hom.gen_seq] = hom
+    else:
+        return slots
     ordered = []
     for _, tied in groupby(sorted(homs, key=attrgetter("gen_seq")), attrgetter("gen_seq")):
         tied = list(tied)
@@ -209,7 +213,7 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     witnesses: dict[int, DegreeWitness] = {}
     single_profiles = set()
     for hom in scan:
-        orders, cap, single = hom.image_orders(), hom.truncation, _is_single_term(hom)
+        orders, cap, single = hom.image_orders(), hom.truncation, _single_term(hom)
         if single:
             if (orders, cap) in single_profiles:
                 continue

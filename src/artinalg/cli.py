@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from itertools import islice
 
 from .algebra import (
     build_algebra,
@@ -49,7 +51,7 @@ from .berger import (
     tau_membership_check,
     tau_witness_gorenstein,
 )
-from .errors import AlgebraFileError, ArtinalgError
+from .errors import AlgebraFileError, ArtinalgError, InvalidArgumentError
 from .kahler import embedding_obstruction, h0_de_rham, kahler_module
 from .polycore import check_variables, parse_polynomial
 from .truncated import _search_settings, make_hom, search_homs
@@ -228,6 +230,8 @@ def cmd_tau(args) -> tuple[dict, int]:
     algebra, variables, gens = _load_algebra(args.file)
     # the witness is built, and so checked, before the search
     element = None
+    if args.witness is not None and args.r is not None:
+        raise InvalidArgumentError("tau takes --witness or --r, not both")
     if args.witness:
         element = algebra.from_polynomial(parse_polynomial(args.witness, algebra.variables))
         witness_form = kahler_module(algebra).d(element)
@@ -301,7 +305,12 @@ def _report(command, args, variables, gens, results) -> dict:
 
 def _emit(report: dict, as_json: bool, elapsed: float):
     if as_json:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
+        # written in batches of encoder chunks: `json.dump` writes each of a
+        # large report's ~10^5 small chunks on its own, and a captured stdout
+        # (io.StringIO) keeps them all as separate strings until it is read
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+        while batch := list(islice(chunks, 4096)):
+            sys.stdout.write("".join(batch))
         sys.stdout.write("\n")
         return
     print(f"command: {report['command']}")
@@ -389,7 +398,15 @@ def main(argv=None) -> int:
     except ArtinalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(report, args.json, time.perf_counter() - start)
+    try:
+        _emit(report, args.json, time.perf_counter() - start)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: keep the run's own exit code, and
+        # send what remains, and the flush at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

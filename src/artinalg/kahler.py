@@ -22,10 +22,14 @@ relations need a normal form.
 A truncated ring Q[t]/<t^(N+1)> is an ArtinAlgebra like any other, so
 its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
 (characteristic zero), and the quotient coordinates are the coefficients
-of dt, t dt, ..., t^(N-1) dt.  `pushforward` has one path for every
-AlgebraMap: it sums h(a_j) * d(h(X_j)) in the target's ambient
-coordinates (`_times` of `partials`) and reduces once, which gives the
-same class because the relations span a submodule.
+of dt, t dt, ..., t^(N-1) dt.  `pushforward` sums h(a_j) * d(h(X_j)) in
+the target's ambient coordinates (`_times` of `partials`) and reduces
+once, which gives the same class because the relations span a submodule.
+Along a single-term hom X_j -> c_j t^(e_j) into Q[t]/<t^(N+1)> it skips
+both: d(c_j t^(e_j)) = c_j e_j t^(e_j-1) dt, so the term of X_j is h(a_j)
+shifted by e_j - 1 and scaled by c_j e_j, and reducing only drops the
+t^N dt coordinate, which that path never writes.  The blocks a_j of a
+form are read once per form (`KahlerModule._blocks`), not once per hom.
 
 H0_dR is the kernel of the matrix of d (`_d_matrix`, one per algebra), and
 the embedding obstruction H0_dR ∩ nilradical the kernel of that matrix
@@ -52,6 +56,7 @@ from .algebra import (
 )
 from .errors import IncompatibleAlgebrasError
 from .polycore import Monomial, Polynomial
+from .truncated import TruncatedHom, _single_term
 
 ZERO = Fraction(0)
 
@@ -69,16 +74,11 @@ class DifferentialForm(CoordinateVector):
         return f"<DifferentialForm {self.describe()}>"
 
     def describe(self) -> str:
-        km = self.module
-        A = km.algebra
-        ambient = km.ambient_representative(self)
-        dim = A.dim
-        pieces = []
-        for j, name in enumerate(A.variables):
-            block = ambient[j * dim : (j + 1) * dim]
-            if any(block):
-                poly = AlgebraElement(A, block).to_polynomial().to_string(A.order)
-                pieces.append(f"({poly})*d{name}")
+        A = self.module.algebra
+        pieces = [
+            f"({block.to_polynomial().to_string(A.order)})*d{A.variables[j]}"
+            for j, block in self.module._blocks(self)
+        ]
         return " + ".join(pieces) if pieces else "0"
 
 
@@ -112,6 +112,7 @@ class KahlerModule:
             i for i in range(self.ambient_dim) if i not in pivot_set
         )
         self.dim = len(self.quot_indices)
+        self._last_blocks = (None, [])
 
     # -- coordinate passage ---------------------------------------------------
 
@@ -122,6 +123,19 @@ class KahlerModule:
         """The class of an ambient vector of Fractions."""
         reduced = self.reduce_ambient(vector)
         return DifferentialForm._raw(self, tuple(reduced[i] for i in self.quot_indices))
+
+    def _blocks(self, form: DifferentialForm) -> list:
+        """The nonzero dX_j blocks of the form's ambient representative, as
+        (j, element) pairs.  The last form asked is kept with its blocks, by
+        identity (forms are immutable), so a hom family reads them once."""
+        if self._last_blocks[0] is not form:
+            ambient, dim = self.ambient_representative(form), self.algebra.dim
+            blocks = (ambient[start : start + dim] for start in range(0, self.ambient_dim, dim))
+            self._last_blocks = (form, [
+                (j, AlgebraElement._raw(self.algebra, tuple(block)))
+                for j, block in enumerate(blocks) if any(block)
+            ])
+        return self._last_blocks[1]
 
     def ambient_representative(self, form: DifferentialForm):
         vec = [ZERO] * self.ambient_dim
@@ -195,25 +209,42 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     """Functorial map on forms along a homomorphism: sum a_j dX_j -> sum h(a_j) d(h(X_j)).
 
     The result is a form of the target's module.  Satisfies
-    pushforward(h, d(a)) = d(h(a)).
+    pushforward(h, d(a)) = d(h(a)).  Every nonzero block a_j is applied
+    once; a single-term hom into Q[t]/<t^(N+1)> then takes
+    `_single_term_pushforward`, any other map the generic sum.
     """
     if not isinstance(form, DifferentialForm):
         raise _foreign(form, DifferentialForm)
     module = form.module
-    source = module.algebra
-    if not isinstance(hom, AlgebraMap) or hom.source is not source:
+    if not isinstance(hom, AlgebraMap) or hom.source is not module.algebra:
         raise IncompatibleAlgebrasError("form does not live over the map's source")
-    ambient = module.ambient_representative(form)
-    dim = source.dim
+    blocks = module._blocks(form)
     target_module = kahler_module(hom.target)
+    if isinstance(hom, TruncatedHom) and _single_term(hom):
+        return _single_term_pushforward(hom, blocks, target_module)
     out = [ZERO] * target_module.ambient_dim
-    for j, img in enumerate(hom.images):
-        block = ambient[j * dim : (j + 1) * dim]
-        if any(block):
-            coefficient = hom.apply(AlgebraElement._raw(source, tuple(block)))
-            term = target_module._times(coefficient.coords, target_module.partials(img))
-            out = [a + b if b else a for a, b in zip(out, term)]
+    for j, block in blocks:
+        coefficient = hom.apply(block)
+        term = target_module._times(coefficient.coords, target_module.partials(hom.images[j]))
+        out = [a + b if b else a for a, b in zip(out, term)]
     return target_module.form_from_ambient(out)
+
+
+def _single_term_pushforward(hom, blocks, target_module) -> DifferentialForm:
+    """`pushforward` along X_j -> c_j t^(e_j): d(c_j t^(e_j)) = c_j e_j t^(e_j-1) dt,
+    so the t^k dt coordinate, k < N, gains c_j e_j times the t^(k-e_j+1)
+    coefficient of h(a_j).  A unit or zero image has no such term."""
+    n = hom.truncation
+    out = [ZERO] * n
+    for j, block in blocks:
+        coefficient = hom.apply(block).coords
+        e = hom.image_orders()[j]
+        if 0 < e <= n:
+            scale = hom.images[j].coords[e] * e
+            for m, c in enumerate(coefficient[: n + 1 - e]):
+                if c:
+                    out[m + e - 1] += c * scale
+    return DifferentialForm._raw(target_module, tuple(out))
 
 
 @_per_algebra

@@ -175,12 +175,41 @@ class TruncatedHom(AlgebraMap):
 
     def _monomial_image(self, exps: tuple):
         """The image of a monomial; zero without multiplying when the t-orders
-        of its factors sum past N (see `image_orders`), else the memo's image:
-        the walk multiplies only divisors, whose orders sum to at most N too."""
+        of its factors sum past N (see `image_orders`), the one term of
+        `_term` for a single-term hom, else the memo's image: the walk
+        multiplies only divisors, whose orders sum to at most N too."""
         orders = self._orders or self.image_orders()
-        if sum(e * o for e, o in zip(exps, orders)) > self.truncation:
+        degree = sum(map(mul, exps, orders))
+        if degree > self.truncation:
             return self.target.zero()
-        return AlgebraMap._monomial_image(self, exps)
+        leads = self._leads()
+        if leads is None:
+            return AlgebraMap._monomial_image(self, exps)
+        return self.target.t_power(degree, _term(leads, exps))
+
+    def _combine(self, terms):
+        """As `AlgebraMap._combine`; for a single-term hom (see `_leads`) each
+        c*x^a adds c*∏lead_i^a_i at t^(a·orders) when that is at most N, so
+        nothing is multiplied in the target and no image is scanned."""
+        leads = self._leads()
+        if leads is None:
+            return AlgebraMap._combine(self, terms)
+        orders, n = self._orders, self.truncation
+        out = [ZERO] * (n + 1)
+        for mono, c in terms:
+            degree = sum(map(mul, mono.exps, orders))
+            if degree <= n:
+                out[degree] += c * _term(leads, mono.exps)
+        return AlgebraElement._raw(self.target, tuple(out))
+
+    def _leads(self):
+        """Each variable image's lead coefficient, ZERO for a zero image, when
+        the key is set and `_single_term` holds, else None.  A hom without its
+        key (a search candidate before dedup) keeps the generic evaluation."""
+        if self._key is None or not _single_term(self):
+            return None
+        n = self.truncation
+        return [img.coords[o] if o <= n else ZERO for img, o in zip(self.images, self._orders)]
 
     # perfbench/tracing.py times `apply` (its `truncated.apply` span) only
     # where `vars(TruncatedHom)` holds it, so it is bound here too.
@@ -211,6 +240,25 @@ class TruncatedHom(AlgebraMap):
             for name, img in zip(self.source.variables, self.images)
         ]
         return f"[N={self.truncation}] " + ", ".join(pieces)
+
+
+def _single_term(hom: TruncatedHom) -> bool:
+    """Whether every variable image has at most one nonzero coefficient.
+
+    With the key set this is read from it: the key holds one
+    (pos, num, den) triple per nonzero coefficient and every image of
+    order <= N has one at its lead, so the hom is single-term exactly when
+    the triples are as many as those images.  Otherwise the images are read.
+    """
+    orders, n = hom.image_orders(), hom.truncation
+    if hom._key is not None:
+        return len(hom._key) // 3 == sum(o <= n for o in orders)
+    return not any(any(img.coords[o + 1:]) for img, o in zip(hom.images, orders))
+
+
+def _term(leads, exps):
+    """∏ lead_i^a_i over the exponents a_i > 0 of a monomial."""
+    return math.prod(lead**a for lead, a in zip(leads, exps) if a)
 
 
 def make_hom(algebra: ArtinAlgebra, truncation: int, images) -> TruncatedHom:
@@ -585,13 +633,19 @@ def _sorted_by_key(found: dict, nvars: int) -> list:
     """The homs of {`_int_key`: hom}, of `nvars` images each, in `key()` order,
     compared as integers: every coefficient times the lcm of all the
     denominators is an integer, and that scaling keeps their order.  So the
-    dense list (N, scaled coefficients) of each key orders them as `key()` does."""
+    dense list of scaled coefficients of each key orders the homs of one N
+    as `key()` does.  The homs are sorted one N at a time, which holds only
+    that N's dense lists at once."""
     scale = math.lcm(*{den for key in found for den in key[3::3]})
+    by_truncation: dict = {}
+    for key in found:
+        by_truncation.setdefault(key[0], []).append(key)
 
     def dense(key):
-        coeffs = [key[0]] + [0] * (nvars * (key[0] + 1))
+        coeffs = [0] * (nvars * (key[0] + 1))
         for k, num, den in zip(key[1::3], key[2::3], key[3::3]):
-            coeffs[k + 1] = num * (scale // den)
+            coeffs[k] = num * (scale // den)
         return coeffs
 
-    return [found[key] for key in sorted(found, key=dense)]
+    return [found[key] for n in sorted(by_truncation)
+            for key in sorted(by_truncation[n], key=dense)]

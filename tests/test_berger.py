@@ -15,8 +15,8 @@ from artinalg.berger import (
     SurjectionToQ,
     WitnessReport,
     _image_rank,
-    _is_single_term,
     _rank_bounds,
+    _scan_order,
     critical_degree_search,
     degree_one_witness_hom,
     omega_witness,
@@ -39,6 +39,8 @@ from artinalg.kahler import d, kahler_module, pushforward
 from artinalg.truncated import (
     TruncatedHom,
     TruncatedPolyAlgebra,
+    _int_key,
+    _single_term,
     make_hom,
     search_homs,
 )
@@ -461,7 +463,7 @@ class TestRankFromValuations:
         hom = TruncatedHom(A, B, images, verify=False)
         # the unpruned evaluation of a plain AlgebraMap, which reads no orders
         plain = AlgebraMap(A, B, images, verify=False)
-        single = _is_single_term(hom)
+        single = _single_term(hom)
         for degree in sorted(set(A.degrees)):
             indices = [i for i, d in enumerate(A.degrees) if d == degree]
             rows = [A.basis[i].exps for i in indices]
@@ -483,7 +485,9 @@ class TestRankFromValuations:
         ]
         for images, single in cases:
             hom = TruncatedHom(A, B, [B.from_string(s) for s in images], verify=False)
-            assert _is_single_term(hom) is single
+            assert _single_term(hom) is single
+            _int_key(hom)  # now read from the key
+            assert hom._key is not None and _single_term(hom) is single
 
 
 def reference_scan(A, homs):
@@ -559,6 +563,31 @@ class TestScanEquivalence:
             report = critical_degree_search(A, family)
             assert report.witnesses[2].hom is first
             assert report.to_record() == reference_scan(A, family).to_record()
+
+    @staticmethod
+    def sort_path(homs):
+        return sorted(homs, key=lambda h: (h.gen_seq, h.key()))
+
+    @pytest.mark.parametrize("name", ["q3", "m4"])
+    def test_scan_order_matches_the_sort_path(self, monkeypatch, name):
+        A = ORACLE_ALGEBRAS[name]
+        family = both_strategies(A, 12, 600)
+        shuffled = family[:]
+        random.Random(name).shuffle(shuffled)
+        assert sorted(h.gen_seq for h in shuffled) == list(range(len(family)))
+        key, read = TruncatedHom.key, []
+        monkeypatch.setattr(TruncatedHom, "key", lambda h: read.append(h) or key(h))
+        by_slot = _scan_order(shuffled)
+        assert read == []  # a permutation of 0..n-1 is placed by slot
+        monkeypatch.undo()
+        assert by_slot == self.sort_path(shuffled)
+        # not a permutation of 0..n-1: sort, then key() among tied gen_seqs
+        sub = shuffled[::3]
+        joined = family + search_homs(A, 12, ("monomial", "dense-random"), 600, seed=3)
+        built = [make_hom(A, 3, ["t^2", "t^2 + 2*t^3"]), make_hom(A, 3, ["t^2", "t^2 + t^3"])]
+        for homs in (sub, joined, built + shuffled, built):
+            assert _scan_order(homs) == self.sort_path(homs)
+        assert len({h.gen_seq for h in joined}) < len(joined)
 
     # sha256 of the canonical JSON of to_record(), pinned from the
     # elimination-only scan that preceded the valuation rule

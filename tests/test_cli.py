@@ -503,8 +503,10 @@ class TestTau:
             ("staircase", ["--witness", "X^^2"], "expected int, found '^' (token 2)"),
             ("staircase", ["--witness", "Z"], "unknown variable 'Z'"),
             ("chain", ["--r", "2"], "need two degree-one basis monomials for --r mode"),
+            ("staircase", ["--witness", "X*Y", "--r", "2"], "tau takes --witness or --r, not both"),
         ],
-        ids=["r-zero", "no-witness", "bad-polynomial", "unknown-variable", "one-variable"],
+        ids=["r-zero", "no-witness", "bad-polynomial", "unknown-variable", "one-variable",
+             "witness-and-r"],
     )
     def test_bad_witness_is_rejected_before_the_search(
         self, capsys, monkeypatch, staircase_path, chain_path, path, flags, message
@@ -594,6 +596,28 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_json_is_written_in_batches(self, monkeypatch, golden_path):
+        # one write per encoder chunk kept ~10^5 small strings alive in a
+        # captured stdout; the bytes are those of json.dump
+        class CountingOut(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        argv = ["homs", golden_path, "--nmax", "8", "--budget", "400", "--json"]
+        assert main(argv) == 0
+        monkeypatch.undo()
+        text = out.getvalue()
+        reference = io.StringIO()
+        json.dump(json.loads(text), reference, sort_keys=True, indent=2)
+        assert text == reference.getvalue() + "\n"
+        chunks = len(list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(json.loads(text))))
+        assert chunks > 2 * 4096 and out.writes <= chunks // 4096 + 2
+
     def test_human_output_runs(self, capsys, staircase_path):
         assert main(["analyze", staircase_path]) == 0
         out = capsys.readouterr().out
@@ -616,3 +640,22 @@ class TestColdStart:
         loaded = set(done.stdout.split())
         assert "artinalg.cli" in loaded
         assert loaded & {"dataclasses", "inspect", "typing"} == set()
+
+
+class TestClosedStdout:
+    def test_a_reader_that_stops_early_gets_no_traceback(self, golden_path):
+        # the report is about 1 MB, far past a pipe's buffer, so the CLI is
+        # still writing when the reader closes its end
+        src = Path(cli.__file__).resolve().parents[1]
+        code = f"import sys; sys.path.insert(0, {str(src)!r}); from artinalg.cli import main; sys.exit(main())"
+        argv = ["homs", golden_path, "--nmax", "8", "--budget", "2000",
+                "--strategy", "monomial,dense-random", "--json"]
+        proc = subprocess.Popen([sys.executable, "-I", "-c", code, *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert head == b'{\n  "comma'
+        assert err == b""
