@@ -24,8 +24,7 @@ The operations here assemble evidence objects:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter, mul
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -127,7 +126,7 @@ def _image_rank(algebra: ArtinAlgebra, hom: TruncatedHom, degree: int) -> int:
 def _scan_order(homs) -> list:
     """The homs by (gen_seq, key()).  A family whose gen_seqs are a
     permutation of 0..n-1, as `search_homs` numbers its result, is placed
-    by slot; otherwise key() is read only where gen_seq ties."""
+    by slot, reading no key(); any other family is sorted."""
     slots = [None] * len(homs)
     for hom in homs:
         if not 0 <= hom.gen_seq < len(slots) or slots[hom.gen_seq] is not None:
@@ -135,11 +134,7 @@ def _scan_order(homs) -> list:
         slots[hom.gen_seq] = hom
     else:
         return slots
-    ordered = []
-    for _, tied in groupby(sorted(homs, key=attrgetter("gen_seq")), attrgetter("gen_seq")):
-        tied = list(tied)
-        ordered += sorted(tied, key=TruncatedHom.key) if len(tied) > 1 else tied
-    return ordered
+    return sorted(homs, key=lambda hom: (hom.gen_seq, hom.key()))
 
 
 def _rank_bounds(rows, orders, truncation: int, single_term: bool):
@@ -190,15 +185,17 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     through the canonical quadratic-kill hom.
 
     The scan takes the degree-one witness, then the family by
-    (gen_seq, key()) whatever its input order; key() is read only where
-    gen_seq ties (-1 for a hom built outside a search).  Ranks come from
+    (gen_seq, key()) whatever its input order (`_scan_order`; gen_seq is
+    -1 for a hom built outside a search).  Ranks come from
     valuations (`_rank_bounds`): a degree is skipped when its bound hi
     cannot beat the current witness, takes lo when the bounds agree, and
-    is row-reduced only otherwise.  A single-term hom's ranks are fixed by
-    (image_orders(), N), so it is skipped whole when an earlier single-term
-    hom had the same pair; any other hom is scanned.  `reverify` rechecks
-    every stored rank by elimination.  Raises IncompatibleAlgebrasError
-    for a family member that is not a TruncatedHom of the algebra.
+    is row-reduced only otherwise.  The bounds depend only on the profile
+    (image_orders(), N, single-term or not), so each profile's bounds are
+    computed once, for its first hom.  A single-term hom's ranks are the
+    bounds, so it is skipped whole when an earlier single-term hom had the
+    same profile; any other hom is scanned.  `reverify` rechecks every
+    stored rank by elimination.  Raises IncompatibleAlgebrasError for a
+    family member that is not a TruncatedHom of the algebra.
     """
     homs = _homs_of(algebra, homs, TruncatedHom)
     info = _require_graded(algebra, "critical degree needs a standard graded algebra")
@@ -211,17 +208,17 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
         [algebra.basis[i].exps for i in algebra.degree_indices(degree)] for degree in range(1, n + 1)
     ]
     witnesses: dict[int, DegreeWitness] = {}
-    single_profiles = set()
+    bounds_of: dict = {}
     for hom in scan:
-        orders, cap, single = hom.image_orders(), hom.truncation, _single_term(hom)
-        if single:
-            if (orders, cap) in single_profiles:
-                continue
-            single_profiles.add((orders, cap))
-        for degree, rows in enumerate(exponents, 1):
+        profile = hom.image_orders(), hom.truncation, _single_term(hom)
+        bounds = bounds_of.get(profile)
+        if bounds is None:
+            bounds = bounds_of[profile] = [_rank_bounds(rows, *profile) for rows in exponents]
+        elif profile[2]:
+            continue
+        for degree, (lo, hi) in enumerate(bounds, 1):
             current = witnesses.get(degree)
             best = 1 if current is None else current.rank
-            lo, hi = _rank_bounds(rows, orders, cap, single)
             if hi <= best:
                 continue
             rank = lo if lo == hi else _image_rank(algebra, hom, degree)

@@ -25,8 +25,9 @@ its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
 of dt, t dt, ..., t^(N-1) dt.  `pushforward` sums h(a_j) * d(h(X_j)) in
 the target's ambient coordinates (`_times` of `partials`) and reduces
 once, which gives the same class because the relations span a submodule.
-Along a single-term hom X_j -> c_j t^(e_j) into Q[t]/<t^(N+1)> it skips
-both: d(c_j t^(e_j)) = c_j e_j t^(e_j-1) dt, so the term of X_j is h(a_j)
+Along a single-term hom X_j -> c_j t^(e_j) into Q[t]/<t^(N+1)>, read from
+the hom's leads c_j (`TruncatedHom._leads`), it skips both:
+d(c_j t^(e_j)) = c_j e_j t^(e_j-1) dt, so the term of X_j is h(a_j)
 shifted by e_j - 1 and scaled by c_j e_j, and reducing only drops the
 t^N dt coordinate, which that path never writes.  The blocks a_j of a
 form are read once per form (`KahlerModule._blocks`), not once per hom.
@@ -56,7 +57,7 @@ from .algebra import (
 )
 from .errors import IncompatibleAlgebrasError
 from .polycore import Monomial, Polynomial
-from .truncated import TruncatedHom, _single_term
+from .truncated import TruncatedHom
 
 ZERO = Fraction(0)
 
@@ -210,8 +211,8 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
 
     The result is a form of the target's module.  Satisfies
     pushforward(h, d(a)) = d(h(a)).  Every nonzero block a_j is applied
-    once; a single-term hom into Q[t]/<t^(N+1)> then takes
-    `_single_term_pushforward`, any other map the generic sum.
+    once; a keyed single-term hom into Q[t]/<t^(N+1)> (its `_leads`) then
+    takes `_single_term_pushforward`, any other map the generic sum.
     """
     if not isinstance(form, DifferentialForm):
         raise _foreign(form, DifferentialForm)
@@ -220,8 +221,9 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
         raise IncompatibleAlgebrasError("form does not live over the map's source")
     blocks = module._blocks(form)
     target_module = kahler_module(hom.target)
-    if isinstance(hom, TruncatedHom) and _single_term(hom):
-        return _single_term_pushforward(hom, blocks, target_module)
+    leads = hom._leads() if isinstance(hom, TruncatedHom) else None
+    if leads is not None:
+        return _single_term_pushforward(hom, leads, blocks, target_module)
     out = [ZERO] * target_module.ambient_dim
     for j, block in blocks:
         coefficient = hom.apply(block)
@@ -230,17 +232,18 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
     return target_module.form_from_ambient(out)
 
 
-def _single_term_pushforward(hom, blocks, target_module) -> DifferentialForm:
-    """`pushforward` along X_j -> c_j t^(e_j): d(c_j t^(e_j)) = c_j e_j t^(e_j-1) dt,
-    so the t^k dt coordinate, k < N, gains c_j e_j times the t^(k-e_j+1)
-    coefficient of h(a_j).  A unit or zero image has no such term."""
-    n = hom.truncation
+def _single_term_pushforward(hom, leads, blocks, target_module) -> DifferentialForm:
+    """`pushforward` along X_j -> c_j t^(e_j), c_j = leads[j]: d(c_j t^(e_j)) =
+    c_j e_j t^(e_j-1) dt, so the t^k dt coordinate, k < N, gains c_j e_j times
+    the t^(k-e_j+1) coefficient of h(a_j).  A unit or zero image has no such term."""
+    n, orders = hom.truncation, hom.image_orders()
     out = [ZERO] * n
     for j, block in blocks:
         coefficient = hom.apply(block).coords
-        e = hom.image_orders()[j]
+        e = orders[j]
+        # 0 < e is not needed: it skips a unit image's block, which e = 0 scales by 0
         if 0 < e <= n:
-            scale = hom.images[j].coords[e] * e
+            scale = leads[j] * e
             for m, c in enumerate(coefficient[: n + 1 - e]):
                 if c:
                     out[m + e - 1] += c * scale

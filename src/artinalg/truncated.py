@@ -139,20 +139,21 @@ class TruncatedHom(AlgebraMap):
     -1 for a hom built outside `search_homs`.
     """
 
-    __slots__ = ("gen_seq", "_orders", "_key")
+    __slots__ = ("gen_seq", "_orders", "_key", "_shape")
 
     def __init__(self, source: ArtinAlgebra, target: TruncatedPolyAlgebra, images, verify: bool = True):
         # set before AlgebraMap.__init__, which may verify and so evaluate
-        self._orders = self._key = None
+        self._orders = self._key = self._shape = None
         super().__init__(source, target, images, verify)
         self.gen_seq = -1
 
     @classmethod
-    def _raw(cls, source, target, images, orders, key):
+    def _raw(cls, source, target, images, orders, key, shape):
         """Internal constructor; `images` must already be elements of `target`,
-        one per source variable.  `orders` is their `image_orders()` and `key`
-        their `_int_key`, either None to be computed when read.  Nothing is
-        checked or verified."""
+        one per source variable.  `orders` is their `image_orders()`, `key`
+        their `_int_key` and `shape` what `_leads` keeps (set only with the
+        key), each None to be computed when read.  Nothing is checked or
+        verified."""
         self = object.__new__(cls)
         self.source = source
         self.target = target
@@ -160,6 +161,7 @@ class TruncatedHom(AlgebraMap):
         self._monomial_images = {}
         self._orders = orders
         self._key = key
+        self._shape = shape
         self.gen_seq = -1
         return self
 
@@ -204,12 +206,15 @@ class TruncatedHom(AlgebraMap):
 
     def _leads(self):
         """Each variable image's lead coefficient, ZERO for a zero image, when
-        the key is set and `_single_term` holds, else None.  A hom without its
-        key (a search candidate before dedup) keeps the generic evaluation."""
-        if self._key is None or not _single_term(self):
-            return None
-        n = self.truncation
-        return [img.coords[o] if o <= n else ZERO for img, o in zip(self.images, self._orders)]
+        the key is set and every image is a single term, else None.  Kept in
+        the `_shape` slot, False for a hom that is not single-term: the
+        monomial image table and the dense-random stream set it from the
+        draw, and any other keyed hom reads it from its images once.  A hom
+        without its key (a search candidate before dedup) keeps the generic
+        evaluation."""
+        if self._shape is None and self._key is not None:
+            self._shape = _read_shape(self)
+        return self._shape or None
 
     # perfbench/tracing.py times `apply` (its `truncated.apply` span) only
     # where `vars(TruncatedHom)` holds it, so it is bound here too.
@@ -243,17 +248,20 @@ class TruncatedHom(AlgebraMap):
 
 
 def _single_term(hom: TruncatedHom) -> bool:
-    """Whether every variable image has at most one nonzero coefficient.
-
-    With the key set this is read from it: the key holds one
-    (pos, num, den) triple per nonzero coefficient and every image of
-    order <= N has one at its lead, so the hom is single-term exactly when
-    the triples are as many as those images.  Otherwise the images are read.
-    """
-    orders, n = hom.image_orders(), hom.truncation
+    """Whether every variable image has at most one nonzero coefficient:
+    whether `_leads` holds for a keyed hom, read from the images otherwise."""
     if hom._key is not None:
-        return len(hom._key) // 3 == sum(o <= n for o in orders)
-    return not any(any(img.coords[o + 1:]) for img, o in zip(hom.images, orders))
+        return hom._leads() is not None
+    return _read_shape(hom) is not False
+
+
+def _read_shape(hom: TruncatedHom):
+    """The leads of `_leads` read from the images, False when some image has
+    a second nonzero coefficient."""
+    orders, n = hom.image_orders(), hom.truncation
+    if any(any(img.coords[o + 1:]) for img, o in zip(hom.images, orders)):
+        return False
+    return tuple(img.coords[o] if o <= n else ZERO for img, o in zip(hom.images, orders))
 
 
 def _term(leads, exps):
@@ -391,15 +399,16 @@ def _group_is_nonzero(terms, coeffs) -> bool:
 
 def _image_table(profile, pool, n):
     """For each variable i, one entry per pool coefficient c: the image
-    c*t^(e_i) in Q[t]/<t^(n+1)>, its t-order and its part of `_int_key`,
-    (i*(n+1)+e_i, numerator, denominator).  A zero c or an e_i above n gives
-    the one zero image, order n+1 and no key part."""
+    c*t^(e_i) in Q[t]/<t^(n+1)>, its t-order, its part of `_int_key`,
+    (i*(n+1)+e_i, numerator, denominator), and its lead c.  A zero c or an
+    e_i above n gives the one zero image, order n+1, no key part and lead
+    ZERO."""
     target = TruncatedPolyAlgebra(n)
     zeros = (ZERO,) * (n + 1)
-    zero = (AlgebraElement._raw(target, zeros), n + 1, ())
+    zero = (AlgebraElement._raw(target, zeros), n + 1, (), ZERO)
     return [
         [(AlgebraElement._raw(target, zeros[:e] + (c,) + zeros[e + 1:]), e,
-          (i * (n + 1) + e, c.numerator, c.denominator)) if e <= n and c else zero
+          (i * (n + 1) + e, c.numerator, c.denominator), c) if e <= n and c else zero
          for c in pool]
         for i, e in enumerate(profile)
     ]
@@ -412,8 +421,9 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
     of a nonzero degree group of some generator (`_degree_groups`), and
     n_max if there is none.  The groups are computed once per profile.
     Without colliding groups N is one int for the whole profile, and each
-    candidate picks its images, their t-orders and its `_int_key` from one
-    `_image_table`, so images are shared between homs.  Otherwise only the
+    candidate picks its images, their t-orders, its `_int_key` and its
+    leads (every such hom is single-term) from one `_image_table`, so
+    images are shared between homs.  Otherwise only the
     colliding groups, whose terms share a degree below that bound and so
     may cancel, are evaluated with Fractions for each coefficient tuple,
     lowest degree first; the images are cut from one zero tuple per
@@ -430,8 +440,8 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
                 continue
             target = TruncatedPolyAlgebra(n)
             for entries in iter_product(*_image_table(profile, pool, n)):
-                images, orders, parts = zip(*entries)
-                yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)))
+                images, orders, parts, leads = zip(*entries)
+                yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)), leads)
             continue
         for coeffs in iter_product(pool, repeat=nvars):
             n = next((d for d, terms in colliding if _group_is_nonzero(terms, coeffs)), bound) - 1
@@ -447,65 +457,76 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
                 else:
                     images.append(AlgebraElement._raw(target, zeros))
                     orders.append(n + 1)
-            yield TruncatedHom._raw(algebra, target, images, tuple(orders), None)
+            yield TruncatedHom._raw(algebra, target, images, tuple(orders), None, None)
 
 
 def _dense_random_stream(algebra, n_max, pool, seed, user_images):
     """Random polynomial images of positive order, verified exactly.
 
-    Each image's t-order (the lead, or `t_order` when the pool put 0
-    there) and each nonzero coefficient's part of `_int_key` are recorded
-    as drawn, so a yielded hom carries its `image_orders` and its key.  On
-    a monomial presentation, every generator one term a*X^α, the orders
-    decide the candidate: a*X^α maps to a*∏lc_i^α_i*t^(α·orders) plus
-    higher terms, nonzero exactly when α·orders <= N (Q is a domain).  Any
-    other presentation is verified by `violation()`; the ROADMAP's
-    per-generator order rule would replace that for every presentation
-    once perfbench stops keeping each pass's report text.
+    Each image is drawn as its (k, c) pairs, lowest k first.  Its terms are
+    the pairs with c nonzero, all of them for a pool without 0 (otherwise 0
+    may be drawn even at the lead), so its t-order and lead are those of its
+    first term, and it is single-term when it has at most one.  On a
+    monomial presentation, every generator one term a*X^α, the orders
+    decide the candidate before anything is built: a*X^α maps to
+    a*∏lc_i^α_i*t^(α·orders) plus higher terms, nonzero exactly when
+    α·orders <= N (Q is a domain).  Any other presentation is verified by
+    `violation()`; the ROADMAP's per-generator order rule would replace that
+    for every presentation once perfbench stops keeping each pass's report
+    text.  A yielded hom's images, `image_orders`, key and leads (see
+    `_leads`) are built once, from the pairs, with one ring per N.
     """
     rng = random.Random(f"{seed}:dense-random:{n_max}")
+    # CPython 3.10-3.13 draw randint(1, n) as 1 + _randbelow(n) and choice(pool)
+    # as pool[_randbelow(len(pool))], so these consume the rng as those calls do
+    below, uniform, size = rng._randbelow, rng.random, len(pool)
+    nonzero_pool = all(pool)
     nvars = len(algebra.variables)
     monomial = all(len(g.terms) == 1 for g in algebra.gens)
     gen_exps = [mono.exps for g in algebra.gens for mono in g.terms] if monomial else ()
+    rings = {}
     while True:
-        n = rng.randint(1, n_max)
-        target = TruncatedPolyAlgebra(n)
-        images, orders, drawn = [], [], []
-        for i in range(nvars):
-            lead = rng.randint(1, n)
-            coeffs = [ZERO] * (n + 1)
-            for k in range(lead, min(n, lead + 4) + 1):
-                if k == lead or rng.random() < 0.4:
-                    c = coeffs[k] = rng.choice(pool)
-                    if c:
-                        drawn += (i * (n + 1) + k, c.numerator, c.denominator)
-            image = AlgebraElement._raw(target, tuple(coeffs))
-            images.append(image)
-            orders.append(lead if coeffs[lead] else target.t_order(image))
+        n = 1 + below(n_max)
+        drawn = []
+        for _ in range(nvars):
+            lead = 1 + below(n)
+            drawn.append([(k, pool[below(size)]) for k in range(lead, min(n, lead + 4) + 1)
+                          if k == lead or uniform() < 0.4])
+        terms = drawn if nonzero_pool else [[(k, c) for k, c in pairs if c] for pairs in drawn]
+        orders = tuple(t[0][0] if t else n + 1 for t in terms)
         if monomial and any(sum(map(mul, a, orders)) <= n for a in gen_exps):
             yield None
             continue
-        probe = TruncatedHom._raw(algebra, target, images, tuple(orders), None)
-        if monomial or probe.violation() is None:
-            probe._key = (n, *drawn)
-            yield probe
-        else:
-            yield None
+        if n not in rings:
+            rings[n] = TruncatedPolyAlgebra(n), [ZERO] * (n + 1)
+        target, zeros = rings[n]
+        images, key = [], [n]
+        for i, pairs in enumerate(drawn):
+            coeffs = zeros[:]
+            for k, c in pairs:
+                coeffs[k] = c
+                if c:
+                    key += (i * (n + 1) + k, c.numerator, c.denominator)
+            images.append(AlgebraElement._raw(target, tuple(coeffs)))
+        shape = all(len(t) < 2 for t in terms) and tuple(t[0][1] if t else ZERO for t in terms)
+        hom = TruncatedHom._raw(algebra, target, images, orders, tuple(key), shape)
+        yield hom if monomial or hom.violation() is None else None
 
 
 def _user_stream(algebra, n_max, pool, seed, user_images):
     """The supplied image sets, each verified at truncation n_max.
 
     An entry that is already a `TruncatedHom` of the algebra at n_max is
-    taken as verified and yielded as a copy sharing its images, t-orders
-    and key, so the search never changes a hom it was given.
+    taken as verified and yielded as a copy sharing its images, t-orders,
+    key and leads, so the search never changes a hom it was given.
     """
     for image_set in [user_images] if _is_image(user_images[0]) else user_images:
         if isinstance(image_set, TruncatedHom):
             if image_set.source is not algebra or image_set.truncation != n_max:
                 raise IncompatibleAlgebrasError("user hom has another source or truncation")
             yield TruncatedHom._raw(
-                algebra, image_set.target, image_set.images, image_set._orders, image_set._key
+                algebra, image_set.target, image_set.images, image_set._orders, image_set._key,
+                image_set._shape,
             )
             continue
         try:
@@ -567,8 +588,9 @@ def search_homs(
     groups, so each variable's images are built once per profile);
     "dense-random" rejection-samples seeded random images of positive
     order, decided on a monomial presentation (every generator one term)
-    by the images' t-orders alone and verified exactly otherwise; both
-    streams set each hom's `image_orders` and dedup key from the draw;
+    by the images' t-orders alone, before any image is built, and verified
+    exactly otherwise; both streams set each hom's `image_orders`, dedup
+    key and single-term leads (`TruncatedHom._leads`) from the draw;
     "user" verifies explicitly supplied images and keeps the valid ones:
     `images` is one image set (the images of `make_hom`; a sequence of
     rationals is one image) or a list of image sets, and a supplied

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,13 @@ class TestHomFamilyOfAnotherAlgebra:
         with pytest.raises(IncompatibleAlgebrasError):
             report.reverify(q2)
 
+    def test_reverify_rejects_a_lower_bound_below_the_top_degree(self, q2):
+        report = critical_degree_search(q2, both_strategies(q2, 12, 2500))
+        assert report.degrees_achieved == (1, 2) and report.reverify(q2)
+        for bound in (1, 0):  # each still at most the upper bound
+            report.lower_bound = bound
+            assert not report.reverify(q2)
+
     @pytest.mark.parametrize("member", [1, "X", None])
     def test_kill_checks_reject_a_non_map(self, golden, member):
         homs = search_homs(golden, 6, budget=50) + [member]
@@ -604,3 +612,64 @@ class TestScanEquivalence:
         record = critical_degree_search(A, both_strategies(A, 12, 2500)).to_record()
         text = json.dumps(record, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def per_hom_scan(A, homs):
+    """The critical-degree scan with `_rank_bounds` called for every scanned
+    (hom, degree), a hom skipped only after a single-term hom of the same
+    (image_orders(), N), and single-term-ness read from the images."""
+    n = grading_info(A).nilpotency_index
+    scan = [degree_one_witness_hom(A), *sorted(homs, key=lambda h: (h.gen_seq, h.key()))]
+    exponents = [[A.basis[i].exps for i in A.degree_indices(degree)] for degree in range(1, n + 1)]
+    witnesses, single_profiles = {}, set()
+    for hom in scan:
+        orders, cap, single = hom.image_orders(), hom.truncation, single_by_the_images(hom)
+        if single:
+            if (orders, cap) in single_profiles:
+                continue
+            single_profiles.add((orders, cap))
+        for degree, rows in enumerate(exponents, 1):
+            current = witnesses.get(degree)
+            best = 1 if current is None else current.rank
+            lo, hi = _rank_bounds(rows, orders, cap, single)
+            if hi <= best:
+                continue
+            rank = lo if lo == hi else _image_rank(A, hom, degree)
+            if rank > best:
+                witnesses[degree] = DegreeWitness(hom, rank)
+    degrees = tuple(sorted(witnesses))
+    return CriticalDegreeReport(max(degrees), n, degrees, witnesses, len(scan))
+
+
+def single_by_the_images(hom):
+    return not any(any(img.coords[o + 1:]) for img, o in zip(hom.images, hom.image_orders()))
+
+
+class TestBoundsOncePerProfile:
+    """`critical_degree_search` computes `_rank_bounds` once per profile
+    (image_orders(), N, single-term) and degree, and reports what the
+    per-hom loop reports, whatever the family's order and numbering."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["q1", "q2", "q3", "q4", "q5", "m4"])
+    def test_equals_the_per_hom_loop(self, monkeypatch, name, seed):
+        A = ORACLE_ALGEBRAS[name]
+        homs = search_homs(A, 12, ("monomial", "dense-random"), 2500, seed)
+        # copies numbered -1, as built outside a search: the `_scan_order` fallback
+        copies = [TruncatedHom._raw(A, h.target, h.images, h._orders, h._key, h._shape) for h in homs]
+        built = [make_hom(A, h.truncation, h.images) for h in homs[::7]]
+        families = [homs, homs[::-1], copies, copies[::-2] + homs[::2], built + homs[1::3]]
+        n = grading_info(A).nilpotency_index
+        bounds, calls = _rank_bounds, []
+        monkeypatch.setattr(
+            berger, "_rank_bounds", lambda rows, *profile: calls.append(profile) or bounds(rows, *profile)
+        )
+        for family in families:
+            calls.clear()
+            report = critical_degree_search(A, family)
+            scanned = [degree_one_witness_hom(A), *family]
+            profiles = {(h.image_orders(), h.truncation, single_by_the_images(h)) for h in scanned}
+            assert Counter(calls) == dict.fromkeys(profiles, n)
+            # per_hom_scan calls the unpatched `_rank_bounds` of this module
+            assert report.to_record() == per_hom_scan(A, family).to_record()
+        assert any(not single_by_the_images(h) for h in homs)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -622,6 +623,30 @@ class TestDeterminism:
         assert main(["analyze", staircase_path]) == 0
         out = capsys.readouterr().out
         assert "dim: 5" in out
+
+
+class TestStaircaseCritdegAtSeedThree:
+    """The exact bytes of the staircase critdeg reports at a seed other than
+    the default: each pins which dense-random candidates the seeded rng
+    draws, on every Python the suite runs on."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("q1", "10f541cff6308d0735cd014c74e150ebf78f21b0ee300f910896d97240c32fe4"),
+            ("q2", "d4f8f9d48e3bb2d167028e02a21ec8dbc2d23dcd508720b49c1ef12522191625"),
+            ("q3", "be0a541cb78f697995aa2a1bc8ca397644bf3361c9e0a54f8b9c62f214e495c0"),
+            ("q4", "4f116ea406429f5041b31490fb563ec4694036cae4f9d6485dafa8fa41f1617e"),
+            ("q5", "1698be9ec6b955aa4f77519f2d1d41f47e79ef22bae7cc26afa5604a251201ef"),
+            ("power_xy_4", "214c64bd45b8b65db2a9ca15226e9c20197259569d7bd81d28f126dd698d8e1e"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, capsys, monkeypatch, name, digest):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        argv = ["critdeg", f"perfbench/inputs/{name}.alg", "--nmax", "12", "--budget", "2500",
+                "--strategy", "monomial,dense-random", "--seed", "3", "--json"]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestColdStart:

@@ -333,6 +333,12 @@ class TestOperandsOfDifferentSpaces:
         with pytest.raises(IncompatibleAlgebrasError):
             dx + d(q3.variable_element("X"))
 
+    def test_pushforward_along_a_non_map_or_a_map_of_another_source(self, q2, q3):
+        form = d(q2.variable_element("X"))
+        for hom in (object(), "X", make_hom(q3, 5, ["t^2", "t^3"]), AlgebraMap.identity(q3)):
+            with pytest.raises(IncompatibleAlgebrasError):
+                pushforward(hom, form)
+
     def test_forms_share_the_element_arithmetic(self, q2):
         inherited = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__", "__hash__", "_check"}
         assert not inherited & set(vars(DifferentialForm))

@@ -1,15 +1,15 @@
 """The single-term fast paths and the form memo against the generic path.
 
-A searched hom X_i -> c_i t^(e_i) carries its key, and `_single_term`
-reads it from there: `apply`, `basis_image` and `evaluate_polynomial`
+A searched hom X_i -> c_i t^(e_i) carries its key and its leads c_i, set
+from the draw (`TruncatedHom._leads`): `apply`, `basis_image` and `evaluate_polynomial`
 then add c*∏c_i^a_i at t^(a·e) per term, and `pushforward` shifts and
 scales h(a_j) by the derivative c_j e_j t^(e_j-1).  Every hom of the
 benchmark's staircase and golden families (seeds 0 and 3, two more
 coefficient pools on the golden algebra) must agree with the generic
 evaluation of a `make_hom` copy, whose key is None, and with the generic
 pushforward of a plain `AlgebraMap` on the same images (`pushforward`
-takes the single-term path for any `TruncatedHom` whose images are
-single terms, key or not).
+takes the single-term path only for a keyed hom; the copy takes the
+generic sum).
 """
 
 import functools
@@ -122,7 +122,7 @@ class TestAgainstTheGenericPath:
             forms = [witnesses[index % len(witnesses)], others[index % len(others)]]
             for form in forms:
                 assert pushforward(hom, form) == pushforward(plain, form)
-            # single-term by its images, without a key: generic apply, then the shift
+            # single-term by its images, without a key: the generic pushforward
             assert pushforward(copy, forms[-1]) == pushforward(hom, forms[-1])
         assert singles
         assert singles < len(homs)

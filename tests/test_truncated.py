@@ -20,7 +20,7 @@ from artinalg.errors import (
     NotLocalOverQError,
     RelationViolatedError,
 )
-from artinalg.berger import critical_degree_search, q_algebra
+from artinalg.berger import critical_degree_search, omega_witness, q_algebra, tau_membership_check
 from artinalg.kahler import kahler_module
 from artinalg.truncated import (
     DEFAULT_COEFF_POOL,
@@ -1006,3 +1006,78 @@ class TestKeysFromTheDraw:
                 for a in elements:
                     assert hom.apply(a) == rebuilt.apply(a)
                     assert hom.valuation(a) == rebuilt.valuation(a)
+
+
+class TestShapeFromTheDraw:
+    """The monomial image table and the dense-random stream set each hom's
+    leads (`_leads`, or not single-term) from the draw; a hom of the
+    monomial per-candidate path reads them from its images once its key is
+    set.  Either way they are what the images give, read from scratch."""
+
+    @staticmethod
+    def assert_shape_of_the_images(algebra, hom):
+        rebuilt = make_hom(algebra, hom.truncation, hom.images)
+        expected = truncated._read_shape(rebuilt)
+        assert truncated._single_term(hom) is truncated._single_term(rebuilt) is (expected is not False)
+        assert hom._leads() == (expected or None)
+        truncated._int_key(rebuilt)
+        assert rebuilt._leads() == hom._leads()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
+    def test_monomial_paths(self, pool, seed):
+        # the colliding input, and a zero in the pool, take the per-candidate path
+        paths = set()
+        for _, presentation, n_max in TestMonomialStream.INPUTS:
+            A = algebra_from_strings(*presentation)
+            stream = truncated._monomial_stream(A, n_max, pool, seed, None)
+            for hom in islice(filter(None, stream), 0, 600, 3):
+                table = hom._key is not None
+                paths.add(table)
+                # the table sets the slot; the per-candidate path leaves it unread
+                assert (hom._shape is not None) is table
+                if not table:
+                    truncated._int_key(hom)
+                else:
+                    assert hom._leads() is not None  # every table hom is single-term
+                self.assert_shape_of_the_images(A, hom)
+        assert paths == {True, False}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
+    def test_dense_random(self, pool, seed):
+        singles = others = 0
+        for _, presentation, n_max in TestDenseRandomStream.INPUTS:
+            A = algebra_from_strings(*presentation)
+            stream = truncated._dense_random_stream(A, n_max, pool, seed, None)
+            for hom in filter(None, islice(stream, 400)):  # unit-line has none
+                assert hom._shape is not None
+                singles += hom._leads() is not None
+                others += hom._leads() is None
+                self.assert_shape_of_the_images(A, hom)
+        assert singles and others
+
+    def test_user_copies_carry_the_shape(self, q2):
+        homs = search_homs(q2, 6, ("monomial", "dense-random"), 300)
+        copies = search_homs(q2, 6, "user", len(homs), images=[h for h in homs if h.truncation == 6])
+        assert copies
+        for copy in copies:
+            original = next(h for h in homs if h.key() == copy.key())
+            assert copy is not original and copy._shape is original._shape is not None
+
+    def test_staircase_jobs_read_no_image_for_the_shape(self, monkeypatch):
+        # the critdeg search and scan and the `tau --r` check of each staircase
+        # input; only the scan's degree-one witness, built without a key, is read
+        read = []
+        read_shape = truncated._read_shape
+        monkeypatch.setattr(truncated, "_read_shape", lambda hom: read.append(hom) or read_shape(hom))
+        for name, variables, gens in TestMonomialStream.STAIRCASE_INPUTS:
+            A = algebra_from_strings(variables, gens)
+            report = critical_degree_search(A, search_homs(A, 12, ("monomial", "dense-random"), 2500, 0))
+            assert report.homs_scanned > 1000
+            if name.startswith("Q("):
+                x, y = (A.variable_element(v) for v in A.variables)
+                omega = omega_witness(A, x, y, int(name[2:-1]))
+                assert tau_membership_check(A, omega, search_homs(A, 8, "monomial", 2000)).all_killed
+        assert len(read) == len(TestMonomialStream.STAIRCASE_INPUTS)
+        assert all(hom._key is None and hom.gen_seq == -1 for hom in read)
