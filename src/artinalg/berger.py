@@ -299,6 +299,7 @@ def surjection_to_q(algebra: ArtinAlgebra, hom: TruncatedHom, r: int) -> Surject
     if quotient.dim != expected:
         check = IsoCheck(False, expected, quotient.dim, detail="dimension mismatch")
     else:
+        # never fails: x, y generate the quotient, so 1, x^i, x^(i-1)y (i <= r) span it, a basis here
         for i in range(1, r + 1):
             u = xq ** i
             v = (xq ** (i - 1)) * yq

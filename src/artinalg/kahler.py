@@ -22,15 +22,14 @@ relations need a normal form.
 A truncated ring Q[t]/<t^(N+1)> is an ArtinAlgebra like any other, so
 its module is built the same way: d(t^(N+1)) = 0 forces t^N dt = 0
 (characteristic zero), and the quotient coordinates are the coefficients
-of dt, t dt, ..., t^(N-1) dt.  `pushforward` sums h(a_j) * d(h(X_j)) in
-the target's ambient coordinates (`_times` of `partials`) and reduces
-once, which gives the same class because the relations span a submodule.
-Along a single-term hom X_j -> c_j t^(e_j) into Q[t]/<t^(N+1)>, read from
-the hom's leads c_j (`TruncatedHom._leads`), it skips both:
-d(c_j t^(e_j)) = c_j e_j t^(e_j-1) dt, so the term of X_j is h(a_j)
-shifted by e_j - 1 and scaled by c_j e_j, and reducing only drops the
-t^N dt coordinate, which that path never writes.  The blocks a_j of a
-form are read once per form (`KahlerModule._blocks`), not once per hom.
+of dt, t dt, ..., t^(N-1) dt.  `pushforward` has one formula per target.
+Into such a ring, sum_j h(a_j) * h(X_j)' dt has those coefficients
+directly, with h(X_j)' = sum_k k g_k t^(k-1) read from the coordinates
+g_k of the image, and nothing to reduce.  Into any other algebra it sums
+h(a_j) * d(h(X_j)) in the target's ambient coordinates (`_times` of
+`partials`) and reduces once, which gives the same class because the
+relations span a submodule.  The blocks a_j of a form are read once per
+form (`KahlerModule._blocks`), not once per hom.
 
 H0_dR is the kernel of the matrix of d (`_d_matrix`, one per algebra), and
 the embedding obstruction H0_dR ∩ nilradical the kernel of that matrix
@@ -57,7 +56,7 @@ from .algebra import (
 )
 from .errors import IncompatibleAlgebrasError
 from .polycore import Monomial, Polynomial
-from .truncated import TruncatedHom
+from .truncated import TruncatedPolyAlgebra
 
 ZERO = Fraction(0)
 
@@ -211,8 +210,10 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
 
     The result is a form of the target's module.  Satisfies
     pushforward(h, d(a)) = d(h(a)).  Every nonzero block a_j is applied
-    once; a keyed single-term hom into Q[t]/<t^(N+1)> (its `_leads`) then
-    takes `_single_term_pushforward`, any other map the generic sum.
+    once.  Into Q[t]/<t^(N+1)> the t^m dt coordinate, m < N, gains
+    k g_k c_i for each image coefficient g_k of h(X_j), k >= 1, and each
+    coefficient c_i of h(a_j) with i + k - 1 = m; into any other algebra
+    the class of the generic sum is reduced once (see the module docstring).
     """
     if not isinstance(form, DifferentialForm):
         raise _foreign(form, DifferentialForm)
@@ -221,33 +222,24 @@ def pushforward(hom: AlgebraMap, form: DifferentialForm) -> DifferentialForm:
         raise IncompatibleAlgebrasError("form does not live over the map's source")
     blocks = module._blocks(form)
     target_module = kahler_module(hom.target)
-    leads = hom._leads() if isinstance(hom, TruncatedHom) else None
-    if leads is not None:
-        return _single_term_pushforward(hom, leads, blocks, target_module)
+    if isinstance(hom.target, TruncatedPolyAlgebra):
+        n = hom.target.truncation
+        out = [ZERO] * n
+        for j, block in blocks:
+            coefficient = hom.apply(block).coords
+            for k, g in enumerate(hom.images[j].coords[1:], 1):
+                if g:
+                    scale = g * k
+                    for i, c in enumerate(coefficient[: n + 1 - k]):
+                        if c:
+                            out[i + k - 1] += c * scale
+        return DifferentialForm._raw(target_module, tuple(out))
     out = [ZERO] * target_module.ambient_dim
     for j, block in blocks:
         coefficient = hom.apply(block)
         term = target_module._times(coefficient.coords, target_module.partials(hom.images[j]))
         out = [a + b if b else a for a, b in zip(out, term)]
     return target_module.form_from_ambient(out)
-
-
-def _single_term_pushforward(hom, leads, blocks, target_module) -> DifferentialForm:
-    """`pushforward` along X_j -> c_j t^(e_j), c_j = leads[j]: d(c_j t^(e_j)) =
-    c_j e_j t^(e_j-1) dt, so the t^k dt coordinate, k < N, gains c_j e_j times
-    the t^(k-e_j+1) coefficient of h(a_j).  A unit or zero image has no such term."""
-    n, orders = hom.truncation, hom.image_orders()
-    out = [ZERO] * n
-    for j, block in blocks:
-        coefficient = hom.apply(block).coords
-        e = orders[j]
-        # 0 < e is not needed: it skips a unit image's block, which e = 0 scales by 0
-        if 0 < e <= n:
-            scale = leads[j] * e
-            for m, c in enumerate(coefficient[: n + 1 - e]):
-                if c:
-                    out[m + e - 1] += c * scale
-    return DifferentialForm._raw(target_module, tuple(out))
 
 
 @_per_algebra

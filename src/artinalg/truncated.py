@@ -208,10 +208,9 @@ class TruncatedHom(AlgebraMap):
         """Each variable image's lead coefficient, ZERO for a zero image, when
         the key is set and every image is a single term, else None.  Kept in
         the `_shape` slot, False for a hom that is not single-term: the
-        monomial image table and the dense-random stream set it from the
-        draw, and any other keyed hom reads it from its images once.  A hom
-        without its key (a search candidate before dedup) keeps the generic
-        evaluation."""
+        monomial and dense-random streams set it from the draw, and a keyed
+        `user` or `make_hom` hom reads it from its images once.  A hom
+        without its key keeps the generic evaluation."""
         if self._shape is None and self._key is not None:
             self._shape = _read_shape(self)
         return self._shape or None
@@ -420,14 +419,14 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
     The candidate's N is one less than the least degree, at most n_max,
     of a nonzero degree group of some generator (`_degree_groups`), and
     n_max if there is none.  The groups are computed once per profile.
-    Without colliding groups N is one int for the whole profile, and each
-    candidate picks its images, their t-orders, its `_int_key` and its
-    leads (every such hom is single-term) from one `_image_table`, so
-    images are shared between homs.  Otherwise only the
-    colliding groups, whose terms share a degree below that bound and so
-    may cancel, are evaluated with Fractions for each coefficient tuple,
-    lowest degree first; the images are cut from one zero tuple per
-    candidate, with `image_orders` set from the profile.
+    Every candidate picks its images, their t-orders, its `_int_key` and
+    its leads (every such hom is single-term) from an `_image_table`, one
+    entry per variable by pool index, so images are shared between homs.
+    Without colliding groups N is one int for the whole profile, and so is
+    the table.  Otherwise only the colliding groups, whose terms share a
+    degree below that bound and so may cancel, are evaluated with
+    Fractions for each coefficient tuple, lowest degree first, and the
+    profile keeps one table per N it reaches.
     """
     nvars = len(algebra.variables)
     sure_singles = all(pool)
@@ -443,21 +442,18 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
                 images, orders, parts, leads = zip(*entries)
                 yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)), leads)
             continue
-        for coeffs in iter_product(pool, repeat=nvars):
+        tables = {}
+        for picks in iter_product(range(len(pool)), repeat=nvars):
+            coeffs = [pool[p] for p in picks]
             n = next((d for d, terms in colliding if _group_is_nonzero(terms, coeffs)), bound) - 1
             if n < 1:
                 yield None
                 continue
-            target = TruncatedPolyAlgebra(n)
-            zeros, images, orders = (ZERO,) * (n + 1), [], []
-            for e, c in zip(profile, coeffs):
-                if e <= n and c:
-                    images.append(AlgebraElement._raw(target, zeros[:e] + (c,) + zeros[e + 1:]))
-                    orders.append(e)
-                else:
-                    images.append(AlgebraElement._raw(target, zeros))
-                    orders.append(n + 1)
-            yield TruncatedHom._raw(algebra, target, images, tuple(orders), None, None)
+            if n not in tables:
+                tables[n] = TruncatedPolyAlgebra(n), _image_table(profile, pool, n)
+            target, table = tables[n]
+            images, orders, parts, leads = zip(*map(list.__getitem__, table, picks))
+            yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)), leads)
 
 
 def _dense_random_stream(algebra, n_max, pool, seed, user_images):
@@ -584,8 +580,9 @@ def search_homs(
     (coefficients from a fixed rational pool) and pairs each with the
     largest truncation it verifies at, read from the generators' terms
     grouped by t-degree once per profile (Fractions only for groups whose
-    terms share a degree; one image table per profile without such
-    groups, so each variable's images are built once per profile);
+    terms share a degree), every candidate taken from an image table
+    built once per profile and N, so each variable's images are built once
+    per table;
     "dense-random" rejection-samples seeded random images of positive
     order, decided on a monomial presentation (every generator one term)
     by the images' t-orders alone, before any image is built, and verified
@@ -631,9 +628,9 @@ def _int_key(hom: TruncatedHom) -> tuple:
     """(N, then i*(N+1)+k, numerator, denominator for each nonzero t^k
     coefficient of image i).  Fractions are normalized and N fixes every
     image's width, so homs of one source have equal int keys exactly when
-    their `key()`s are.  The monomial stream (on a profile without colliding
-    groups) and the dense-random stream set it from the draw; any other hom
-    is read once by `_scanned_key` and keeps the result."""
+    their `key()`s are.  The monomial and dense-random streams set it from
+    the draw; a `user` or `make_hom` hom is read once by `_scanned_key` and
+    keeps the result."""
     if hom._key is None:
         hom._key = _scanned_key(hom)
     return hom._key

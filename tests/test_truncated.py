@@ -981,6 +981,18 @@ class TestKeysFromTheDraw:
             assert len(search_homs(A, 12, ("monomial", "dense-random"), budget, 0)) > 1000
         assert scanned == []
 
+    def test_pools_with_zero_and_colliding_groups_scan_no_key(self, monkeypatch, q3):
+        # a zero in the pool makes every group of Q(3) colliding; the
+        # colliding input has groups that cancel for some coefficients
+        scanned = []
+        scanned_key = truncated._scanned_key
+        monkeypatch.setattr(truncated, "_scanned_key", lambda hom: scanned.append(hom) or scanned_key(hom))
+        assert len(search_homs(q3, 12, "monomial", 144 * 49, coefficient_pool=(0, 1, -1, 2))) > 500
+        colliding = algebra_from_strings(*TestMonomialStream.COLLIDING)
+        for pool in TestMonomialStream.POOLS:
+            assert search_homs(colliding, 12, "monomial", 3000, coefficient_pool=pool)
+        assert scanned == []
+
     @pytest.mark.parametrize("name", ["q3", "golden", "colliding"])
     def test_a_raw_hom_reads_as_the_verified_hom(self, request, name):
         if name == "colliding":
@@ -1009,10 +1021,9 @@ class TestKeysFromTheDraw:
 
 
 class TestShapeFromTheDraw:
-    """The monomial image table and the dense-random stream set each hom's
-    leads (`_leads`, or not single-term) from the draw; a hom of the
-    monomial per-candidate path reads them from its images once its key is
-    set.  Either way they are what the images give, read from scratch."""
+    """The monomial image tables and the dense-random stream set each hom's
+    leads (`_leads`, or not single-term) from the draw, and they are what
+    the images give, read from scratch."""
 
     @staticmethod
     def assert_shape_of_the_images(algebra, hom):
@@ -1025,23 +1036,15 @@ class TestShapeFromTheDraw:
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
-    def test_monomial_paths(self, pool, seed):
-        # the colliding input, and a zero in the pool, take the per-candidate path
-        paths = set()
+    def test_monomial_homs_carry_key_and_shape(self, pool, seed):
+        # colliding profiles (the colliding input, or a zero in the pool) too
         for _, presentation, n_max in TestMonomialStream.INPUTS:
             A = algebra_from_strings(*presentation)
             stream = truncated._monomial_stream(A, n_max, pool, seed, None)
             for hom in islice(filter(None, stream), 0, 600, 3):
-                table = hom._key is not None
-                paths.add(table)
-                # the table sets the slot; the per-candidate path leaves it unread
-                assert (hom._shape is not None) is table
-                if not table:
-                    truncated._int_key(hom)
-                else:
-                    assert hom._leads() is not None  # every table hom is single-term
+                assert hom._key is not None and hom._shape is not None
+                assert hom._leads() is not None  # every monomial hom is single-term
                 self.assert_shape_of_the_images(A, hom)
-        assert paths == {True, False}
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
