@@ -49,7 +49,7 @@ from .errors import (
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
 from .polycore import _require_integer, _sequence
-from .truncated import TruncatedHom, _single_term, make_hom, triangularize
+from .truncated import TruncatedHom, make_hom, triangularize
 
 ZERO = Fraction(0)
 
@@ -210,7 +210,7 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     witnesses: dict[int, DegreeWitness] = {}
     bounds_of: dict = {}
     for hom in scan:
-        profile = hom.image_orders(), hom.truncation, _single_term(hom)
+        profile = hom.image_orders(), hom.truncation, hom._leads() is not None
         bounds = bounds_of.get(profile)
         if bounds is None:
             bounds = bounds_of[profile] = [_rank_bounds(rows, *profile) for rows in exponents]

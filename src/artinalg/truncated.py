@@ -151,9 +151,9 @@ class TruncatedHom(AlgebraMap):
     def _raw(cls, source, target, images, orders, key, shape):
         """Internal constructor; `images` must already be elements of `target`,
         one per source variable.  `orders` is their `image_orders()`, `key`
-        their `_int_key` and `shape` what `_leads` keeps (set only with the
-        key), each None to be computed when read.  Nothing is checked or
-        verified."""
+        their `_int_key` and `shape` what `_leads` keeps, all three None to
+        be read from the images (`_read_images`) when first asked.  Nothing
+        is checked or verified."""
         self = object.__new__(cls)
         self.source = source
         self.target = target
@@ -172,7 +172,7 @@ class TruncatedHom(AlgebraMap):
         is at most N (Q is a domain), and is zero otherwise.
         """
         if self._orders is None:
-            self._orders = tuple(map(self.target.t_order, self.images))
+            _read_images(self)
         return self._orders
 
     def _monomial_image(self, exps: tuple):
@@ -206,13 +206,12 @@ class TruncatedHom(AlgebraMap):
 
     def _leads(self):
         """Each variable image's lead coefficient, ZERO for a zero image, when
-        the key is set and every image is a single term, else None.  Kept in
-        the `_shape` slot, False for a hom that is not single-term: the
-        monomial and dense-random streams set it from the draw, and a keyed
-        `user` or `make_hom` hom reads it from its images once.  A hom
-        without its key keeps the generic evaluation."""
-        if self._shape is None and self._key is not None:
-            self._shape = _read_shape(self)
+        every image is a single term, else None.  Kept in the `_shape` slot,
+        False for a hom that is not single-term: the monomial and
+        dense-random streams set it from the draw, and any other hom reads it
+        from its images once (`_read_images`)."""
+        if self._shape is None:
+            _read_images(self)
         return self._shape or None
 
     # perfbench/tracing.py times `apply` (its `truncated.apply` span) only
@@ -246,21 +245,21 @@ class TruncatedHom(AlgebraMap):
         return f"[N={self.truncation}] " + ", ".join(pieces)
 
 
-def _single_term(hom: TruncatedHom) -> bool:
-    """Whether every variable image has at most one nonzero coefficient:
-    whether `_leads` holds for a keyed hom, read from the images otherwise."""
-    if hom._key is not None:
-        return hom._leads() is not None
-    return _read_shape(hom) is not False
-
-
-def _read_shape(hom: TruncatedHom):
-    """The leads of `_leads` read from the images, False when some image has
-    a second nonzero coefficient."""
-    orders, n = hom.image_orders(), hom.truncation
-    if any(any(img.coords[o + 1:]) for img, o in zip(hom.images, orders)):
-        return False
-    return tuple(img.coords[o] if o <= n else ZERO for img, o in zip(hom.images, orders))
+def _read_images(hom: TruncatedHom) -> None:
+    """Set the `image_orders`, `_int_key` and `_leads` slots of a hom not
+    built from a draw, reading each coordinate once, the module's ZERO by
+    identity."""
+    n = hom.truncation
+    orders, key, leads, single = [], [n], [], True
+    for i, img in enumerate(hom.images):
+        terms = [(k, c) for k, c in enumerate(img.coords) if c is not ZERO and c]
+        orders.append(terms[0][0] if terms else n + 1)
+        leads.append(terms[0][1] if terms else ZERO)
+        single = single and len(terms) < 2
+        for k, c in terms:
+            key += (i * (n + 1) + k, c.numerator, c.denominator)
+    hom._orders, hom._key = tuple(orders), tuple(key)
+    hom._shape = single and tuple(leads)
 
 
 def _term(leads, exps):
@@ -380,8 +379,7 @@ def _degree_groups(gens, profile, n_max: int, sure_singles: bool):
         by_degree: dict = {}
         for mono, a in g.terms.items():
             d = sum(e * p for e, p in zip(mono.exps, profile))
-            if d < bound:
-                by_degree.setdefault(d, []).append((mono.exps, a))
+            by_degree.setdefault(d, []).append((mono.exps, a))
         for d, terms in by_degree.items():
             if sure_singles and len(terms) == 1:
                 bound = min(bound, d)
@@ -587,7 +585,8 @@ def search_homs(
     order, decided on a monomial presentation (every generator one term)
     by the images' t-orders alone, before any image is built, and verified
     exactly otherwise; both streams set each hom's `image_orders`, dedup
-    key and single-term leads (`TruncatedHom._leads`) from the draw;
+    key and single-term leads (`TruncatedHom._leads`) from the draw, which
+    any other hom reads once from its images (`_read_images`);
     "user" verifies explicitly supplied images and keeps the valid ones:
     `images` is one image set (the images of `make_hom`; a sequence of
     rationals is one image) or a list of image sets, and a supplied
@@ -629,23 +628,10 @@ def _int_key(hom: TruncatedHom) -> tuple:
     coefficient of image i).  Fractions are normalized and N fixes every
     image's width, so homs of one source have equal int keys exactly when
     their `key()`s are.  The monomial and dense-random streams set it from
-    the draw; a `user` or `make_hom` hom is read once by `_scanned_key` and
-    keeps the result."""
+    the draw; any other hom reads it from its images once (`_read_images`)."""
     if hom._key is None:
-        hom._key = _scanned_key(hom)
+        _read_images(hom)
     return hom._key
-
-
-def _scanned_key(hom: TruncatedHom) -> tuple:
-    """`_int_key` read from the images, each coordinate once, the module's
-    ZERO by identity."""
-    width = hom.truncation + 1
-    key = [hom.truncation]
-    for i, img in enumerate(hom.images):
-        for k, c in enumerate(img.coords, i * width):
-            if c is not ZERO and c:
-                key += (k, c.numerator, c.denominator)
-    return tuple(key)
 
 
 def _sorted_by_key(found: dict, nvars: int) -> list:

@@ -1,12 +1,13 @@
 """The single-term fast paths, the pushforward formula and the form memo
 against generic computations.
 
-A searched hom X_i -> c_i t^(e_i) carries its key and its leads c_i, set
-from the draw (`TruncatedHom._leads`): `apply`, `basis_image` and
-`evaluate_polynomial` then add c*∏c_i^a_i at t^(a·e) per term.  Every hom
-of the benchmark's staircase and golden families (seeds 0 and 3, two more
-coefficient pools on the golden algebra) must agree with the generic
-evaluation of a `make_hom` copy, whose key is None.  `pushforward` into
+A hom X_i -> c_i t^(e_i) carries its leads c_i (`TruncatedHom._leads`), set
+from the draw by a search or read from the images of any other hom:
+`apply`, `basis_image` and `evaluate_polynomial` then add c*∏c_i^a_i at
+t^(a·e) per term.  Every hom of the benchmark's staircase and golden
+families (seeds 0 and 3, two more coefficient pools on the golden algebra)
+must agree with a plain `AlgebraMap` of the same images, which evaluates
+through its memo of ring products and reads no leads.  `pushforward` into
 Q[t]/<t^(N+1)> takes one formula for every map, so it is checked against
 the generic sum written here (`generic_pushforward`): h(a_j) times the
 ambient vector d(h(X_j)) in the target's module, reduced once.
@@ -22,7 +23,7 @@ from artinalg import q_algebra, truncated
 from artinalg.algebra import AlgebraElement, AlgebraMap, grading_info, socle
 from artinalg.berger import omega_witness, tau_membership_check
 from artinalg.kahler import DifferentialForm, kahler_module, pushforward
-from artinalg.truncated import TruncatedPolyAlgebra, _single_term, make_hom, search_homs
+from artinalg.truncated import TruncatedPolyAlgebra, make_hom, search_homs
 from conftest import GOLDEN_GENS, GOLDEN_VARS, algebra_from_strings
 from oracles import random_element, random_polynomial
 
@@ -64,6 +65,16 @@ def family(name):
         for hom in homs:
             unique.setdefault(truncated._int_key(hom), hom)
     return list(unique.values())
+
+
+def single_term_leads(hom):
+    """Each image's lowest nonzero coefficient, 0 for a zero image, when
+    no image has two nonzero coefficients, else None; read here from the
+    coordinates."""
+    terms = [[c for c in img.coords if c] for img in hom.images]
+    if any(len(t) > 1 for t in terms):
+        return None
+    return tuple(t[0] if t else Fraction(0) for t in terms)
 
 
 def generic_pushforward(hom, form):
@@ -118,24 +129,22 @@ class TestAgainstTheGenericPath:
         witnesses = witness_forms(A)
         singles = 0
         for index, hom in enumerate(homs):
-            copy = make_hom(A, hom.truncation, hom.images)
-            single = _single_term(hom)
-            assert single is _single_term(copy)
-            assert copy._key is None and copy._leads() is None
-            assert (hom._leads() is not None) is single
-            singles += single
+            plain = AlgebraMap(A, hom.target, hom.images)
+            leads = single_term_leads(hom)
+            assert hom._leads() == leads
+            singles += leads is not None
             for i in range(A.dim):
-                assert hom.basis_image(i) == copy.basis_image(i)
-            assert hom.apply(element) == copy.apply(element)
-            # the copy was verified: the generic path sends every generator to zero
+                assert hom.basis_image(i) == plain.basis_image(i)
+            assert hom.apply(element) == plain.apply(element)
+            # the plain map was verified: its memo sends every generator to zero
             assert all(hom.evaluate_polynomial(g).is_zero() for g in A.gens)
-            assert hom.evaluate_polynomial(polynomial) == copy.evaluate_polynomial(polynomial)
+            assert hom.evaluate_polynomial(polynomial) == plain.evaluate_polynomial(polynomial)
             # each hom meets two forms, every form many homs
             forms = [witnesses[index % len(witnesses)], others[index % len(others)]]
             for form in forms:
                 assert pushforward(hom, form) == generic_pushforward(hom, form)
-            # without a key or leads: the same formula
-            assert pushforward(copy, forms[-1]) == pushforward(hom, forms[-1])
+            # a map without key or leads: the same formula
+            assert pushforward(plain, forms[-1]) == pushforward(hom, forms[-1])
         assert singles
         assert singles < len(homs)
 
@@ -147,7 +156,7 @@ class TestAgainstTheGenericPath:
         km = kahler_module(A)
         seen = set()
         for hom in homs:
-            shape = (hom.truncation, _single_term(hom))
+            shape = (hom.truncation, hom._leads() is not None)
             if shape in seen:
                 continue
             seen.add(shape)
@@ -163,7 +172,7 @@ class TestAgainstTheGenericPath:
         x, y = (A.variable_element(v) for v in A.variables)
         omega = omega_witness(A, x, y, r)
         for hom in tau_family(r):
-            assert _single_term(hom)
+            assert hom._leads() is not None
             assert pushforward(hom, omega) == generic_pushforward(hom, omega)
 
     def test_unit_zero_and_top_order_images(self):
@@ -173,9 +182,8 @@ class TestAgainstTheGenericPath:
         for n, images in [(3, ["1", "0"]), (4, ["2*t^4", "t^2"]), (5, ["-t^5", "0"])]:
             B = TruncatedPolyAlgebra(n)
             hom = truncated.TruncatedHom(A, B, [B.from_string(s) for s in images], verify=False)
-            truncated._int_key(hom)
             plain = AlgebraMap(A, B, hom.images, verify=False)
-            assert _single_term(hom)
+            assert hom._leads() == single_term_leads(hom) is not None
             for form in [km.d(A.basis_element(i)) for i in range(A.dim)] + mixed_forms(
                 A, random.Random(n)
             ):
@@ -224,6 +232,32 @@ class TestNoTargetProduct:
         assert len(report.homs_tested) == len(homs) > 1000
         assert calls == []
 
+    def test_keyless_copies_multiply_nothing_in_the_target(self, monkeypatch):
+        # `make_hom` copies carry no key or leads from a draw: they read their
+        # leads from the images, and verify and evaluate through them
+        A = algebra("q3")
+        homs = tau_family(3)[::10]
+        x, y = (A.variable_element(v) for v in A.variables)
+        omega = omega_witness(A, x, y, 3)
+        for hom in homs:
+            kahler_module(hom.target)
+        calls = []
+        product = TruncatedPolyAlgebra.multiply_coords
+        monkeypatch.setattr(
+            TruncatedPolyAlgebra, "multiply_coords",
+            lambda ring, a, b: calls.append(ring) or product(ring, a, b),
+        )
+        copies = [make_hom(A, hom.truncation, hom.images) for hom in homs]
+        report = tau_membership_check(A, omega, copies)
+        elements = [A.basis_element(i) for i in range(A.dim)]
+        images = [[copy.apply(a) for a in elements] for copy in copies]
+        monkeypatch.undo()
+        assert report.all_killed and len(copies) > 100
+        assert calls == []
+        for hom, copy, row in zip(homs, copies, images):
+            assert copy._leads() == hom._leads() == single_term_leads(hom)
+            assert row == [AlgebraMap(A, hom.target, hom.images).apply(a) for a in elements]
+
 
 class TestFormMemo:
     """`KahlerModule._blocks` keeps the last form asked, by identity."""
@@ -233,7 +267,7 @@ class TestFormMemo:
         A = algebra("q3")
         km = kahler_module(A)
         rng = random.Random(5)
-        homs = [h for h in family("q3") if not _single_term(h)][:3] + tau_family(3)[:3]
+        homs = [h for h in family("q3") if h._leads() is None][:3] + tau_family(3)[:3]
         return A, km, mixed_forms(A, rng, 2), homs
 
     def test_two_forms_alternating_over_one_hom(self, setting):

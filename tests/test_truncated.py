@@ -89,6 +89,10 @@ class TestTruncatedRing:
         assert nilradical(B) == nilradical(A)
         assert socle(B) == socle(A)
 
+    def test_from_coeffs_cuts_past_t_to_the_n(self):
+        assert TruncatedPolyAlgebra(3).from_coeffs([1, 2, 3, 4, 5, 6]).coords == (1, 2, 3, 4)
+        assert TruncatedPolyAlgebra(3).from_coeffs([1, 2]).coords == (1, 2, 0, 0)
+
     def test_string_round_trip(self):
         B = TruncatedPolyAlgebra(6)
         u = B.from_string("t^2 - 1/2*t^5")
@@ -504,6 +508,19 @@ class TestSearch:
         homs = search_homs(A, 120, budget={"monomial": 10})
         assert all(h.gen_seq < 10 for h in homs)
 
+    def test_a_strategy_missing_from_the_budget_examines_nothing(self, monkeypatch, q2):
+        drawn = []
+        stream = truncated._STRATEGIES["dense-random"]
+
+        def counted(*args):
+            for hom in stream(*args):
+                drawn.append(hom)
+                yield hom
+
+        monkeypatch.setitem(truncated._STRATEGIES, "dense-random", counted)
+        homs = search_homs(q2, 6, ("monomial", "dense-random"), budget={"monomial": 50})
+        assert homs and drawn == []
+
     def test_pool_is_the_documented_default(self):
         assert DEFAULT_COEFF_POOL[0] == 1 and len(DEFAULT_COEFF_POOL) == 7
 
@@ -642,6 +659,17 @@ class TestSearchOrder:
         )
         self.assert_sorted_first_of_each_key(homs, yielded)
         self.assert_negatives_decide_the_order(homs)
+
+    @pytest.mark.parametrize("pool", [(1, -1, 2), (1, 2, 3)], ids=["1,-1,2", "1,2,3"])
+    @pytest.mark.parametrize("name, n_max", [("q2", 12), ("golden", 8)])
+    def test_integer_pools(self, request, name, n_max, pool):
+        # every denominator is 1: the sort compares the numerators, zeros as 0
+        homs = search_homs(
+            request.getfixturevalue(name), n_max, ("monomial", "dense-random"), 1500,
+            coefficient_pool=pool,
+        )
+        assert len({h.truncation for h in homs}) > 1
+        assert homs == sorted(homs, key=TruncatedHom.key)
 
     @pytest.mark.parametrize("strategy", ["monomial", "dense-random"])
     def test_the_search_hashes_no_fraction(self, monkeypatch, q3, strategy):
@@ -889,22 +917,31 @@ class TestMonomialStream:
         assert evaluated
 
 
-def reference_dense_random_keys(algebra, n_max, pool, seed):
-    """The key() of each dense-random candidate, None for a rejected one:
-    the stream's rng calls, each candidate verified by a plain AlgebraMap."""
+def reference_dense_random_draws(nvars, n_max, pool, seed):
+    """Each dense-random candidate as (N, coefficient lists), drawn through
+    the public `random` API: randint for N and for each image's lead, and
+    choice(pool) at the lead and, each with probability 0.4, at the next
+    four places."""
     rng = random.Random(f"{seed}:dense-random:{n_max}")
     while True:
         n = rng.randint(1, n_max)
-        B = TruncatedPolyAlgebra(n)
         images = []
-        for _ in algebra.variables:
+        for _ in range(nvars):
             lead = rng.randint(1, n)
             coeffs = [0] * (n + 1)
-            coeffs[lead] = rng.choice(pool)
-            for k in range(lead + 1, min(n, lead + 4) + 1):
-                if rng.random() < 0.4:
+            for k in range(lead, min(n, lead + 4) + 1):
+                if k == lead or rng.random() < 0.4:
                     coeffs[k] = rng.choice(pool)
-            images.append(B.from_coeffs(coeffs))
+            images.append(coeffs)
+        yield n, images
+
+
+def reference_dense_random_keys(algebra, n_max, pool, seed):
+    """The key() of each dense-random candidate, None for a rejected one:
+    the reference draws, each candidate verified by a plain AlgebraMap."""
+    for n, coeffs in reference_dense_random_draws(len(algebra.variables), n_max, pool, seed):
+        B = TruncatedPolyAlgebra(n)
+        images = [B.from_coeffs(c) for c in coeffs]
         valid = AlgebraMap(algebra, B, images, verify=False).violation() is None
         yield (n, tuple(img.coords for img in images)) if valid else None
 
@@ -932,6 +969,41 @@ class TestDenseRandomStream:
         for hom in filter(None, homs):
             assert hom.image_orders() == tuple(map(hom.target.t_order, hom.images))
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("pool", [DEFAULT_COEFF_POOL, (0, 1, -1)], ids=["default-pool", "0,1,-1"])
+    @pytest.mark.parametrize("name, n_max", [("q2", 12), ("golden", 24)])
+    def test_the_draw_is_that_of_the_public_random_api(self, request, name, n_max, pool, seed):
+        # the stream draws through rng._randbelow, as randint and choice do
+        A = request.getfixturevalue(name)
+        pool = tuple(map(Fraction, pool))
+        expected = []
+        for n, coeffs in islice(reference_dense_random_draws(len(A.variables), n_max, pool, seed), 600):
+            try:
+                expected.append(make_hom(A, n, coeffs).to_record())
+            except RelationViolatedError:
+                expected.append(None)
+        stream = truncated._dense_random_stream(A, n_max, pool, seed, None)
+        got = [None if hom is None else hom.to_record() for hom in islice(stream, 600)]
+        assert got == expected and any(expected)
+
+    # X - Y has two terms, so neither is a monomial presentation; in the
+    # second no generator is a single term
+    LINE = (("X", "Y"), ("X - Y", "Y^3"))
+    LINE_SUM_OF_CUBES = (("X", "Y"), ("X - Y", "X^3 + Y^3"))
+
+    @pytest.mark.parametrize("n_max", [4, 12])
+    @pytest.mark.parametrize(
+        "strategy", ["monomial", "dense-random", ("monomial", "dense-random")],
+        ids=["monomial", "dense-random", "both"],
+    )
+    def test_one_ideal_in_two_presentations(self, strategy, n_max):
+        A, B = algebra_from_strings(*self.LINE), algebra_from_strings(*self.LINE_SUM_OF_CUBES)
+        assert A.gb.polys == B.gb.polys and list(A.basis) == list(B.basis)
+        records = [
+            [h.to_record() for h in search_homs(C, n_max, strategy, 2500, 0)] for C in (A, B)
+        ]
+        assert records[0] == records[1] != []
+
 
 class TestKeysFromTheDraw:
     """The monomial and dense-random streams build their homs with
@@ -942,7 +1014,7 @@ class TestKeysFromTheDraw:
         # unit-line and mixed have no hom of positive order: nothing to compare
         for hom in filter(None, stream):
             rebuilt = make_hom(algebra, hom.truncation, hom.images)
-            assert truncated._int_key(hom) == truncated._scanned_key(rebuilt)
+            assert truncated._int_key(hom) == truncated._int_key(rebuilt)
 
     @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
     @pytest.mark.parametrize(
@@ -967,13 +1039,13 @@ class TestKeysFromTheDraw:
 
     def test_staircase_searches_scan_no_key(self, monkeypatch):
         scanned = []
-        scanned_key = truncated._scanned_key
+        read_images = truncated._read_images
 
         def counting(hom):
             scanned.append(hom)
-            return scanned_key(hom)
+            return read_images(hom)
 
-        monkeypatch.setattr(truncated, "_scanned_key", counting)
+        monkeypatch.setattr(truncated, "_read_images", counting)
         # the whole monomial space (144 profiles of 49 tuples) and 2500 draws
         budget = {"monomial": 144 * 49, "dense-random": 2500}
         for _, variables, gens in TestMonomialStream.STAIRCASE_INPUTS:
@@ -985,8 +1057,8 @@ class TestKeysFromTheDraw:
         # a zero in the pool makes every group of Q(3) colliding; the
         # colliding input has groups that cancel for some coefficients
         scanned = []
-        scanned_key = truncated._scanned_key
-        monkeypatch.setattr(truncated, "_scanned_key", lambda hom: scanned.append(hom) or scanned_key(hom))
+        read_images = truncated._read_images
+        monkeypatch.setattr(truncated, "_read_images", lambda hom: scanned.append(hom) or read_images(hom))
         assert len(search_homs(q3, 12, "monomial", 144 * 49, coefficient_pool=(0, 1, -1, 2))) > 500
         colliding = algebra_from_strings(*TestMonomialStream.COLLIDING)
         for pool in TestMonomialStream.POOLS:
@@ -1028,11 +1100,11 @@ class TestShapeFromTheDraw:
     @staticmethod
     def assert_shape_of_the_images(algebra, hom):
         rebuilt = make_hom(algebra, hom.truncation, hom.images)
-        expected = truncated._read_shape(rebuilt)
-        assert truncated._single_term(hom) is truncated._single_term(rebuilt) is (expected is not False)
-        assert hom._leads() == (expected or None)
-        truncated._int_key(rebuilt)
-        assert rebuilt._leads() == hom._leads()
+        terms = [[c for c in img.coords if c] for img in hom.images]
+        expected = None
+        if all(len(t) < 2 for t in terms):
+            expected = tuple(t[0] if t else 0 for t in terms)
+        assert hom._leads() == rebuilt._leads() == expected
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
@@ -1070,10 +1142,10 @@ class TestShapeFromTheDraw:
 
     def test_staircase_jobs_read_no_image_for_the_shape(self, monkeypatch):
         # the critdeg search and scan and the `tau --r` check of each staircase
-        # input; only the scan's degree-one witness, built without a key, is read
+        # input; only the scan's degree-one witness, built by `make_hom`, is read
         read = []
-        read_shape = truncated._read_shape
-        monkeypatch.setattr(truncated, "_read_shape", lambda hom: read.append(hom) or read_shape(hom))
+        read_images = truncated._read_images
+        monkeypatch.setattr(truncated, "_read_images", lambda hom: read.append(hom) or read_images(hom))
         for name, variables, gens in TestMonomialStream.STAIRCASE_INPUTS:
             A = algebra_from_strings(variables, gens)
             report = critical_degree_search(A, search_homs(A, 12, ("monomial", "dense-random"), 2500, 0))
@@ -1083,4 +1155,4 @@ class TestShapeFromTheDraw:
                 omega = omega_witness(A, x, y, int(name[2:-1]))
                 assert tau_membership_check(A, omega, search_homs(A, 8, "monomial", 2000)).all_killed
         assert len(read) == len(TestMonomialStream.STAIRCASE_INPUTS)
-        assert all(hom._key is None and hom.gen_seq == -1 for hom in read)
+        assert all(hom.truncation == 3 and hom.gen_seq == -1 for hom in read)
