@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property, wraps
-from fractions import Fraction
 from itertools import compress
 
 from . import linalg
@@ -49,12 +48,9 @@ from .errors import (
 )
 from .groebner import buchberger, normal_form, standard_monomials
 from .polycore import (
-    Monomial, MonomialOrder, Polynomial, _fraction, _reject_operand, _require_integer, _sequence,
-    check_variables, parse_polynomial,
+    ONE, ZERO, Monomial, MonomialOrder, Polynomial, _fraction, _reject_operand, _require_integer,
+    _sequence, check_variables, parse_polynomial,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Subspace:
@@ -478,7 +474,8 @@ class AlgebraMap:
     """An algebra homomorphism between ArtinAlgebras, fixed by variable images.
 
     The target may be a truncated ring Q[t]/<t^(N+1)>
-    (`truncated.TruncatedPolyAlgebra`).  Every image must lie in the
+    (`truncated.TruncatedPolyAlgebra`).  `images` is read by `_sequence`,
+    one per source variable, and every image must lie in the
     target.  With `verify` (the default) construction
     checks that every ideal generator of the source evaluates to zero.
     Monomial images are kept in one memo (see `_monomial_image`), and
@@ -488,20 +485,17 @@ class AlgebraMap:
     __slots__ = ("source", "target", "images", "_monomial_images")
 
     def __init__(self, source: ArtinAlgebra, target, images, verify: bool = True):
-        try:
-            if len(images) != len(source.variables):
-                raise IncompatibleAlgebrasError("one image per source variable required")
-            if not all(img in target for img in images):
-                raise IncompatibleAlgebrasError("image lies in the wrong algebra")
-        except (AttributeError, TypeError):
-            # read the operands only here: a search builds a map per candidate
-            for space in (source, target):
-                if not isinstance(space, ArtinAlgebra):
-                    raise _foreign(space, ArtinAlgebra) from None
-            raise InvalidArgumentError(f"images must be a sequence, got {images!r}") from None
+        for space in (source, target):
+            if not isinstance(space, ArtinAlgebra):
+                raise _foreign(space, ArtinAlgebra)
+        images = _sequence(images, "images")
+        if len(images) != len(source.variables):
+            raise IncompatibleAlgebrasError("one image per source variable required")
+        if not all(img in target for img in images):
+            raise IncompatibleAlgebrasError("image lies in the wrong algebra")
         self.source = source
         self.target = target
-        self.images = tuple(images)
+        self.images = images
         self._monomial_images: dict = {}
         if verify:
             violation = self.violation()

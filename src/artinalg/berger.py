@@ -23,7 +23,6 @@ The operations here assemble evidence objects:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from . import linalg
@@ -48,10 +47,8 @@ from .errors import (
     WitnessInsufficientError,
 )
 from .kahler import DifferentialForm, kahler_module, pushforward
-from .polycore import _require_integer, _sequence
+from .polycore import ZERO, _require_integer, _sequence
 from .truncated import TruncatedHom, make_hom, triangularize
-
-ZERO = Fraction(0)
 
 
 def q_algebra(r: int) -> ArtinAlgebra:

@@ -188,7 +188,7 @@ def _search(algebra, args, verify_images=False):
     images = [s.strip() for s in args.images.split(";") if s.strip()] if args.images else None
     if verify_images and args.images and "user" in strategies:
         # the flags first; the user stream then takes the verified hom as it is
-        _search_settings(args.nmax, strategies, args.budget, args.images)
+        _search_settings(args.nmax, strategies, args.budget, images)
         images = [make_hom(algebra, args.nmax, images)]
     return search_homs(
         algebra,

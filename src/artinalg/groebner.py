@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import InvalidArgumentError, NotZeroDimensionalError, VariableMismatchError
-from .polycore import Monomial, MonomialOrder, Polynomial
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .polycore import ONE, ZERO, Monomial, MonomialOrder, Polynomial
 
 
 class StandardMonomialBasis:

@@ -39,8 +39,6 @@ whose kernel is the maximal ideal of a local algebra over Q.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import (
     AlgebraElement,
@@ -55,10 +53,8 @@ from .algebra import (
     _trace_row,
 )
 from .errors import IncompatibleAlgebrasError
-from .polycore import Monomial, Polynomial
+from .polycore import ZERO, Monomial, Polynomial
 from .truncated import TruncatedPolyAlgebra
-
-ZERO = Fraction(0)
 
 
 class DifferentialForm(CoordinateVector):

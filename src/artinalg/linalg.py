@@ -14,7 +14,7 @@ is the kernel of both systems of equations stacked.
 The matrices here are mostly zeros, so the kernels do no `Fraction`
 work on a zero: an entry is tested by its truth value, a row operation
 runs only over the columns where the pivot row is nonzero (listed once
-per pivot), a zero entry of a normalized pivot row is the shared `ZERO`,
+per pivot), a zero entry of a normalized pivot row is `polycore.ZERO`,
 and a row is re-tested for zero only when a row operation changed it.
 Skipping a zero changes no value, and the reduced row echelon form of
 a row space is unique, so the rows, pivots and kernel bases are those of
@@ -28,9 +28,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import DependentInputError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .polycore import ONE, ZERO
 
 
 def _normalized(pivot_row, col):

@@ -14,6 +14,8 @@ omitted).  Whitespace is insignificant.  `parse_polynomial` and
 Each datum has one reader: a value becomes a `Fraction` only in `_fraction`
 (and the parser), an exponent or integer argument passes `_is_integer` (an
 int, never a bool), and arithmetic builds monomials with `Monomial._raw`.
+`ZERO` and `ONE` are the package's one exact zero and one: every module
+imports them from here, so an identity test `c is ZERO` sees one zero.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class Polynomial:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction]):
-        self.variables = tuple(variables)
+        self.variables = _sequence(variables, "variables")
         clean = {}
         try:
             for mono, coeff in terms.items():
@@ -234,12 +236,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
-        one = Monomial((0,) * len(tuple(variables)))
-        return cls(variables, {one: value})
+        variables = _sequence(variables, "variables")
+        return cls(variables, {Monomial((0,) * len(variables)): value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
-        variables = tuple(variables)
+        variables = _sequence(variables, "variables")
         if name not in variables:
             raise UnknownVariableError(f"unknown variable {name!r}")
         exps = [0] * len(variables)

@@ -40,10 +40,7 @@ from .errors import (
     RelationViolatedError,
 )
 from .groebner import GroebnerBasis, StandardMonomialBasis
-from .polycore import Monomial, MonomialOrder, Polynomial, _fraction, _require_integer, _sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .polycore import ONE, ZERO, Monomial, MonomialOrder, Polynomial, _fraction, _require_integer, _sequence
 
 #: default coefficient pool for the monomial search strategy
 DEFAULT_COEFF_POOL = (
@@ -177,17 +174,13 @@ class TruncatedHom(AlgebraMap):
 
     def _monomial_image(self, exps: tuple):
         """The image of a monomial; zero without multiplying when the t-orders
-        of its factors sum past N (see `image_orders`), the one term of
-        `_term` for a single-term hom, else the memo's image: the walk
-        multiplies only divisors, whose orders sum to at most N too."""
+        of its factors sum past N (see `image_orders`), else the memo's
+        image: the walk multiplies only divisors, whose orders sum to at
+        most N too."""
         orders = self._orders or self.image_orders()
-        degree = sum(map(mul, exps, orders))
-        if degree > self.truncation:
+        if sum(map(mul, exps, orders)) > self.truncation:
             return self.target.zero()
-        leads = self._leads()
-        if leads is None:
-            return AlgebraMap._monomial_image(self, exps)
-        return self.target.t_power(degree, _term(leads, exps))
+        return AlgebraMap._monomial_image(self, exps)
 
     def _combine(self, terms):
         """As `AlgebraMap._combine`; for a single-term hom (see `_leads`) each
@@ -247,7 +240,7 @@ class TruncatedHom(AlgebraMap):
 
 def _read_images(hom: TruncatedHom) -> None:
     """Set the `image_orders`, `_int_key` and `_leads` slots of a hom not
-    built from a draw, reading each coordinate once, the module's ZERO by
+    built from a draw, reading each coordinate once, `polycore.ZERO` by
     identity."""
     n = hom.truncation
     orders, key, leads, single = [], [n], [], True
@@ -538,8 +531,11 @@ _STRATEGIES = {
 
 
 def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
-    """A search's strategies, budgets and pool; raises as `search_homs` documents."""
-    strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
+    """A search's strategies, budgets, pool and user images; raises as
+    `search_homs` documents."""
+    strategies = (strategy,) if isinstance(strategy, str) else _sequence(strategy, "strategy")
+    if not all(isinstance(s, str) for s in strategies):
+        raise InvalidArgumentError(f"a strategy is named by a str, got {strategy!r}")
     budgets = budget if isinstance(budget, dict) else dict.fromkeys(strategies, budget)
     unknown = [s for s in (*strategies, *budgets) if s not in _STRATEGIES]
     _require_integer(n_max, "n_max", 1)
@@ -551,8 +547,10 @@ def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
         )
     if not strategies:
         raise InvalidArgumentError(f"no strategy given; expected one of {', '.join(_STRATEGIES)}")
-    if "user" in strategies and not images:
-        raise InvalidArgumentError("the user strategy needs images")
+    if "user" in strategies:
+        images = () if images is None else _sequence(images, "images")
+        if not images:
+            raise InvalidArgumentError("the user strategy needs images")
     if any(b < 0 for b in budgets.values()):
         raise InvalidArgumentError(f"budget must be >= 0, got {min(budgets.values())}")
     pool = DEFAULT_COEFF_POOL
@@ -560,7 +558,7 @@ def _search_settings(n_max, strategy, budget, images, coefficient_pool=None):
         pool = _fractions(coefficient_pool, "the coefficient pool")
     if not pool and {"monomial", "dense-random"} & set(strategies):
         raise InvalidArgumentError("the coefficient pool is empty")
-    return strategies, budgets, pool
+    return strategies, budgets, pool, images
 
 
 def search_homs(
@@ -607,12 +605,13 @@ def search_homs(
     1 plus an element of positive order; give such images through "user".
 
     Raises InvalidArgumentError, before examining any candidate, for
-    an n_max or a budget that is not an int, n_max < 1, no strategy, an
-    unknown strategy name (as a strategy or as a budget key), "user"
-    without images, a negative budget, an unreadable pool entry or an
-    empty pool for "monomial" or "dense-random".
+    a strategy that is neither a name nor a sequence of names, an n_max
+    or a budget that is not an int, n_max < 1, no strategy, an unknown
+    strategy name (as a strategy or as a budget key), "user" without
+    images or with images that are no sequence, a negative budget, an
+    unreadable pool entry or an empty pool for "monomial" or "dense-random".
     """
-    strategies, budgets, pool = _search_settings(n_max, strategy, budget, images, coefficient_pool)
+    strategies, budgets, pool, images = _search_settings(n_max, strategy, budget, images, coefficient_pool)
     _require_local(algebra, "hom search needs a local algebra over Q")
     found: dict = {}
     for strat in strategies:

@@ -341,6 +341,11 @@ class TestGrading:
         with pytest.raises(NotGradedError):
             graded_component_span(golden, 1)
 
+    def test_component_span_at_the_ends(self, q2):
+        # degree 0 is the span of 1, and the first degree past the top is zero
+        assert graded_component_span(q2, 0) == Subspace.from_vectors([q2.one().coords], q2.dim)
+        assert graded_component_span(q2, max(q2.degrees) + 1).is_zero()
+
     def test_grading_info_is_a_read_only_value(self, q2):
         info = grading_info(q2)
         same = GradingInfo(
@@ -539,6 +544,12 @@ class TestSubspaceOwner:
         assert nil.reduce([1, 0, 0, 0, 0]) == nil.reduce(q2.one())
         with pytest.raises(IncompatibleAlgebrasError):
             nil.reduce(self.other_q2().from_string("X + Y"))
+
+    def test_the_span_of_no_vectors_in_no_dimensions(self):
+        assert Subspace.from_vectors([], 0).dim == 0
+
+    def test_a_subspace_equals_no_other_kind(self):
+        assert (Subspace.from_vectors([[1, 0]], 2) == 5) is False
 
     @pytest.mark.parametrize("length", [2, 7])
     def test_a_vector_of_the_wrong_length_is_rejected(self, q2, length):

@@ -333,10 +333,7 @@ class TestBadSearchFlags:
                 ["homs", "--nmax", "-1", "--strategy", "user", "--images", "t;t"],
                 "n_max must be >= 1, got -1",
             ),
-            (
-                ["homs", "--strategy", "user", "--images", ";"],
-                "one image per source variable required",
-            ),
+            (["homs", "--strategy", "user", "--images", ";"], "the user strategy needs images"),
             (["homs", "--strategy", ","], "no strategy given"),
             (["homs", "--strategy", "user"], "the user strategy needs images"),
             (["homs", "--strategy", "monomial,user"], "the user strategy needs images"),

@@ -3,9 +3,9 @@ documented return or an ArtinalgError, never another exception.
 
 A reader is where a value from a library call enters: an exponent, a
 rational, an integer argument, an operand, a truncation, an image, a
-variable list or a generator list.  Each reader below is called with
-every value of WRONG in the one position it reads; the other arguments
-are valid.  A value that the reader's rule accepts (a float is an exact
+strategy, a variable list or a generator list.  Each reader below is
+called with every value of WRONG in the one position it reads; the other
+arguments are valid.  A value that the reader's rule accepts (a float is an exact
 rational, an empty coordinate list a zero element, an empty hom family
 or element list an empty one) must give the documented type; anything
 else must raise an ArtinalgError.  The functions that take an algebra,
@@ -92,6 +92,10 @@ READERS = [
     ("Monomial-exponent", lambda v: Monomial((v, 0)), Monomial, False),
     ("Polynomial-coefficient", lambda v: Polynomial(("X",), {Monomial((1,)): v}), Polynomial, False),
     ("Polynomial-terms", lambda v: Polynomial(("X",), v), Polynomial, False),
+    ("Polynomial-variables", lambda v: Polynomial(v, {}), Polynomial, False),
+    ("Polynomial.zero", lambda v: Polynomial.zero(v), Polynomial, False),
+    ("Polynomial.constant-variables", lambda v: Polynomial.constant(v, 1), Polynomial, False),
+    ("Polynomial.variable-variables", lambda v: Polynomial.variable(v, "X"), Polynomial, False),
     ("Polynomial-monomial", lambda v: Polynomial(("X",), {v: 1}), Polynomial, True),
     ("Polynomial.constant", lambda v: Polynomial.constant(("X",), v), Polynomial, False),
     ("Polynomial.from_monomial", lambda v: Polynomial.from_monomial(("X",), v), Polynomial, True),
@@ -127,6 +131,8 @@ READERS = [
     ("search_homs-budget", lambda v: search_homs(Q2, 4, budget=v), list, False),
     ("search_homs-pool", lambda v: search_homs(Q2, 4, budget=20, coefficient_pool=v), list, False),
     ("search_homs-budget-key", lambda v: search_homs(Q2, 4, budget={v: 20}), list, True),
+    ("search_homs-strategy", lambda v: search_homs(Q2, 4, strategy=v, budget=20), list, False),
+    ("search_homs-images", lambda v: search_homs(Q2, 4, "user", 20, images=v), list, False),
     ("MonomialOrder-kind", lambda v: MonomialOrder(v, ("X",)), MonomialOrder, False),
     ("MonomialOrder-variables", lambda v: MonomialOrder("lex", v), MonomialOrder, False),
     ("q_algebra", lambda v: q_algebra(v), ArtinAlgebra, False),
@@ -215,6 +221,9 @@ REPROS = [
      lambda: search_homs(Q2, 4, budget={"monomal": 100}), InvalidArgumentError),
     ("MonomialOrder-variables", lambda: MonomialOrder("lex", 5), InvalidArgumentError),
     ("build_algebra-order", lambda: build_algebra(("X",), ["X^2"], "lex"), InvalidArgumentError),
+    ("AlgebraMap-str", lambda: AlgebraMap(Q2, Q2, "XY"), InvalidArgumentError),
+    ("Polynomial-str", lambda: Polynomial("XY", {}), InvalidArgumentError),
+    ("search_homs-strategy-int", lambda: search_homs(Q2, 4, strategy=5), InvalidArgumentError),
 ]
 
 
@@ -222,6 +231,10 @@ REPROS = [
 def test_a_wrong_call_raises_its_documented_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_an_iterator_of_images_builds_the_map():
+    assert AlgebraMap(Q2, Q2, iter([x, y])).images == (x, y)
 
 
 def test_from_vectors_reads_a_float_by_its_binary_value():

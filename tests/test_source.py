@@ -13,6 +13,9 @@
   be called only on literal arguments, as in `ZERO = Fraction(0)`, or
   named in an annotation; passing it as a callable (`map(Fraction, ...)`)
   or calling it on a variable is a second rational reader.
+- The exact constants `ZERO` and `ONE` are assigned at module level only
+  in `polycore.py`; every other module imports them, so the identity
+  tests `c is ZERO` see one zero wherever it was made.
 """
 
 import ast
@@ -160,3 +163,38 @@ def test_a_fraction_of_a_variable_or_as_a_callable_is_a_reader():
         "        return Fraction('1/3') + Fraction(2)\n"
     )
     assert fraction_readers(tree) == ["f", "C.g"]
+
+
+def constant_definitions(tree):
+    """The names `ZERO` and `ONE` where a module-level assignment binds them."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [
+            name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and name.id in ("ZERO", "ONE")
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_only_polycore_defines_the_exact_constants(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    expected = ["ZERO", "ONE"] if path.name == "polycore.py" else []
+    assert constant_definitions(tree) == expected
+
+
+def test_a_tuple_or_annotated_assignment_defines_a_constant():
+    tree = ast.parse(
+        "from .polycore import ZERO\n"
+        "ZERO, HALF = Fraction(0), Fraction(1, 2)\n"
+        "ONE: Fraction = Fraction(1)\n"
+        "def f():\n"
+        "    ZERO = 0\n"
+    )
+    assert constant_definitions(tree) == ["ZERO", "ONE"]
