@@ -48,8 +48,8 @@ from .errors import (
 )
 from .groebner import buchberger, normal_form, standard_monomials
 from .polycore import (
-    ONE, ZERO, Monomial, MonomialOrder, Polynomial, _fraction, _reject_operand, _require_integer,
-    _sequence, check_variables, parse_polynomial,
+    ONE, ZERO, Monomial, MonomialOrder, Polynomial, _foreign, _fraction, _reject_operand,
+    _require_integer, _sequence, check_variables, parse_polynomial,
 )
 
 
@@ -128,14 +128,6 @@ class Subspace:
 def _fractions(values, what: str = "coordinates") -> tuple:
     """Rational coordinates, each read by `_fraction`; errors name them as `what`."""
     return tuple(map(_fraction, _sequence(values, what)))
-
-
-def _foreign(value, kind):
-    """The error for a value found outside the space it must lie in:
-    IncompatibleAlgebrasError for a `kind` of another space, else InvalidArgumentError."""
-    if isinstance(value, kind):
-        return IncompatibleAlgebrasError(f"{kind.__name__} of another algebra")
-    return InvalidArgumentError(f"expected {kind.__name__}, got {value!r}")
 
 
 class CoordinateVector:
@@ -382,6 +374,9 @@ class ArtinAlgebra:
         return tuple(coords)
 
     def from_polynomial(self, p: Polynomial) -> AlgebraElement:
+        """InvalidArgumentError for a non-polynomial, VariableMismatchError for other variables."""
+        if not isinstance(p, Polynomial):
+            raise _foreign(p, Polynomial)
         if p.variables != self.variables:
             raise VariableMismatchError(
                 f"polynomial over {p.variables}, algebra over {self.variables}"
@@ -498,10 +493,14 @@ class AlgebraMap:
         self.images = images
         self._monomial_images: dict = {}
         if verify:
-            violation = self.violation()
-            if violation is not None:
-                g, residual = violation
-                raise RelationViolatedError(g.to_string(source.order), residual)
+            self._verify()
+
+    def _verify(self) -> None:
+        """RelationViolatedError naming the first generator not sent to zero."""
+        violation = self.violation()
+        if violation is not None:
+            g, residual = violation
+            raise RelationViolatedError(g.to_string(self.source.order), residual)
 
     def violation(self):
         """The first source generator not sent to zero, with its image, or None.
@@ -590,6 +589,9 @@ class AlgebraMap:
 
     @classmethod
     def identity(cls, algebra: ArtinAlgebra) -> "AlgebraMap":
+        """The identity of the algebra; InvalidArgumentError for a non-algebra."""
+        if not isinstance(algebra, ArtinAlgebra):
+            raise _foreign(algebra, ArtinAlgebra)
         return cls(
             algebra,
             algebra,

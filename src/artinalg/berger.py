@@ -207,7 +207,7 @@ def critical_degree_search(algebra: ArtinAlgebra, homs) -> CriticalDegreeReport:
     witnesses: dict[int, DegreeWitness] = {}
     bounds_of: dict = {}
     for hom in scan:
-        profile = hom.image_orders(), hom.truncation, hom._leads() is not None
+        profile = hom.image_orders(), hom.truncation, hom._leads is not None
         bounds = bounds_of.get(profile)
         if bounds is None:
             bounds = bounds_of[profile] = [_rank_bounds(rows, *profile) for rows in exponents]

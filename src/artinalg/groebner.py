@@ -17,7 +17,7 @@ import heapq
 from collections.abc import Sequence
 
 from .errors import InvalidArgumentError, NotZeroDimensionalError, VariableMismatchError
-from .polycore import ONE, ZERO, Monomial, MonomialOrder, Polynomial
+from .polycore import ONE, ZERO, Monomial, MonomialOrder, Polynomial, _foreign, _sequence
 
 
 class StandardMonomialBasis:
@@ -158,17 +158,23 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     """Reduced Groebner basis of the ideal the generators span.
 
     The zero ideal yields an empty basis, the unit ideal the basis {1}.
-    Output is deterministic for a fixed (generators, order) pair.
+    Output is deterministic for a fixed (generators, order) pair.  Raises
+    InvalidArgumentError for generators that are no sequence of
+    polynomials or an order that is neither None nor a MonomialOrder.
     """
-    gens = list(gens)
+    gens = _sequence(gens, "generators")
     if not gens:
         raise InvalidArgumentError("need at least one generator (possibly zero)")
-    variables = gens[0].variables
-    for g in gens:
-        if g.variables != variables:
+    for g in gens:  # gens[0] is checked first
+        if not isinstance(g, Polynomial):
+            raise _foreign(g, Polynomial)
+        if g.variables != gens[0].variables:
             raise VariableMismatchError("generators over different variable lists")
+    variables = gens[0].variables
     if order is None:
         order = MonomialOrder.grevlex(variables)
+    elif not isinstance(order, MonomialOrder):
+        raise _foreign(order, MonomialOrder)
     key = order.key_function(variables)  # validates compatibility
 
     basis = _interreduce([_entry(g, order) for g in gens if not g.is_zero()], order, key)
@@ -195,7 +201,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """The unique remainder of p supported on standard monomials."""
+    """The unique remainder of p supported on standard monomials.
+    InvalidArgumentError for a p that is no Polynomial or a gb that is no
+    GroebnerBasis."""
+    if not isinstance(p, Polynomial):
+        raise _foreign(p, Polynomial)
+    if not isinstance(gb, GroebnerBasis):
+        raise _foreign(gb, GroebnerBasis)
     key = gb.order.key_function(p.variables)
     return _reduce(p, tuple(zip(gb.leading_monomials, gb.polys)), key)
 
@@ -208,8 +220,11 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
     """All monomials outside the leading-term ideal, ascending.
 
     Raises NotZeroDimensionalError when the set is infinite, detected by
-    a variable having no pure power among the leading terms.
+    a variable having no pure power among the leading terms, and
+    InvalidArgumentError for a gb that is no GroebnerBasis.
     """
+    if not isinstance(gb, GroebnerBasis):
+        raise _foreign(gb, GroebnerBasis)
     variables = gb.variables
     nvars = len(variables)
     if gb.is_trivial():
@@ -220,7 +235,7 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
         pure = [
             m.exps[i]
             for m in leads
-            if m.exps[i] > 0 and all(e == 0 for k, e in enumerate(m.exps) if k != i)
+            if all(e == 0 for k, e in enumerate(m.exps) if k != i)
         ]
         if not pure:
             raise NotZeroDimensionalError(

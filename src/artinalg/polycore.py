@@ -25,6 +25,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import (
+    IncompatibleAlgebrasError,
     InvalidArgumentError,
     PolynomialSyntaxError,
     UnknownVariableError,
@@ -68,6 +69,14 @@ def _sequence(values, what: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise InvalidArgumentError(f"{what} must be a sequence, got {values!r}") from None
+
+
+def _foreign(value, kind):
+    """The error for a value found outside the space it must lie in:
+    IncompatibleAlgebrasError for a `kind` of another space, else InvalidArgumentError."""
+    if isinstance(value, kind):
+        return IncompatibleAlgebrasError(f"{kind.__name__} of another algebra")
+    return InvalidArgumentError(f"expected {kind.__name__}, got {value!r}")
 
 
 def _reject_operand(left, right):
@@ -318,6 +327,9 @@ class Polynomial:
     # -- order-dependent views -------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
+        """InvalidArgumentError for an order that is no MonomialOrder."""
+        if not isinstance(order, MonomialOrder):
+            raise _foreign(order, MonomialOrder)
         key = order.key_function(self.variables)
         return max(self.terms, key=key)
 
@@ -331,9 +343,12 @@ class Polynomial:
         return self.scale(ONE / lc)
 
     def sorted_terms(self, order: MonomialOrder | None = None):
-        """Terms from largest to smallest monomial."""
+        """Terms from largest to smallest monomial; InvalidArgumentError for
+        an order that is neither None nor a MonomialOrder."""
         if order is None:
             order = MonomialOrder.grevlex(self.variables)
+        elif not isinstance(order, MonomialOrder):
+            raise _foreign(order, MonomialOrder)
         key = order.key_function(self.variables)
         return [(m, self.terms[m]) for m in sorted(self.terms, key=key, reverse=True)]
 

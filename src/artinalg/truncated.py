@@ -27,7 +27,7 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import islice, product as iter_product, repeat
+from itertools import islice, product as iter_product
 from numbers import Rational
 from operator import mul
 
@@ -132,44 +132,53 @@ class TruncatedPolyAlgebra(ArtinAlgebra):
 class TruncatedHom(AlgebraMap):
     """An AlgebraMap into Q[t]/<t^(N+1)>, with its truncated valuation.
 
-    `gen_seq` is the number of homs a search kept before this one; it is
-    -1 for a hom built outside `search_homs`.
+    Once built, a hom holds the t-orders (`image_orders`), dedup key `_key`
+    and, when every image is one term, leads `_leads` (else None) of its
+    images, each image's part made by `_image_entry`.  Any other target is
+    an InvalidArgumentError.  `gen_seq` is the number of homs a search kept
+    before this one; it is -1 for a hom built outside `search_homs`.
     """
 
-    __slots__ = ("gen_seq", "_orders", "_key", "_shape")
+    __slots__ = ("gen_seq", "_orders", "_key", "_leads")
 
     def __init__(self, source: ArtinAlgebra, target: TruncatedPolyAlgebra, images, verify: bool = True):
-        # set before AlgebraMap.__init__, which may verify and so evaluate
-        self._orders = self._key = self._shape = None
-        super().__init__(source, target, images, verify)
-        self.gen_seq = -1
+        super().__init__(source, target, images, verify=False)
+        if not isinstance(target, TruncatedPolyAlgebra):
+            raise _foreign(target, TruncatedPolyAlgebra)
+        entries = [
+            _image_entry(target, i, [(k, c) for k, c in enumerate(img.coords) if c])
+            for i, img in enumerate(self.images)
+        ]
+        self._raw(source, target, entries, self)
+        if verify:
+            self._verify()
 
     @classmethod
-    def _raw(cls, source, target, images, orders, key, shape):
-        """Internal constructor; `images` must already be elements of `target`,
-        one per source variable.  `orders` is their `image_orders()`, `key`
-        their `_int_key` and `shape` what `_leads` keeps, all three None to
-        be read from the images (`_read_images`) when first asked.  Nothing
-        is checked or verified."""
-        self = object.__new__(cls)
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
+    def _raw(cls, source, target, entries, self=None):
+        """Internal constructor from one `_image_entry` of `target` per source
+        variable, filling `self` when given.  The key is (N,) and then every
+        key part; the leads are kept when the key holds one term (three
+        ints) per nonzero image.  Nothing is checked or verified."""
+        if self is None:
+            self = object.__new__(cls)
+        try:
+            images, orders, parts, leads = zip(*entries)
+        except ValueError:  # a source without variables
+            images = orders = parts = leads = ()
+        n = target.truncation
+        self.source, self.target, self.images, self._orders = source, target, images, orders
         self._monomial_images = {}
-        self._orders = orders
-        self._key = key
-        self._shape = shape
+        self._key = key = sum(parts, (n,))
+        self._leads = leads if len(key) == 1 + 3 * (len(orders) - orders.count(n + 1)) else None
         self.gen_seq = -1
         return self
 
     def image_orders(self) -> tuple:
-        """The t-order of each variable image, N+1 for a zero image; computed once.
+        """The t-order of each variable image, N+1 for a zero image.
 
         The image of x^a has t-order sum(a_i * orders[i]) whenever that sum
         is at most N (Q is a domain), and is zero otherwise.
         """
-        if self._orders is None:
-            _read_images(self)
         return self._orders
 
     def _monomial_image(self, exps: tuple):
@@ -177,16 +186,15 @@ class TruncatedHom(AlgebraMap):
         of its factors sum past N (see `image_orders`), else the memo's
         image: the walk multiplies only divisors, whose orders sum to at
         most N too."""
-        orders = self._orders or self.image_orders()
-        if sum(map(mul, exps, orders)) > self.truncation:
+        if sum(map(mul, exps, self._orders)) > self.truncation:
             return self.target.zero()
         return AlgebraMap._monomial_image(self, exps)
 
     def _combine(self, terms):
-        """As `AlgebraMap._combine`; for a single-term hom (see `_leads`) each
+        """As `AlgebraMap._combine`; for a single-term hom (`_leads` set) each
         c*x^a adds c*∏lead_i^a_i at t^(a·orders) when that is at most N, so
         nothing is multiplied in the target and no image is scanned."""
-        leads = self._leads()
+        leads = self._leads
         if leads is None:
             return AlgebraMap._combine(self, terms)
         orders, n = self._orders, self.truncation
@@ -196,16 +204,6 @@ class TruncatedHom(AlgebraMap):
             if degree <= n:
                 out[degree] += c * _term(leads, mono.exps)
         return AlgebraElement._raw(self.target, tuple(out))
-
-    def _leads(self):
-        """Each variable image's lead coefficient, ZERO for a zero image, when
-        every image is a single term, else None.  Kept in the `_shape` slot,
-        False for a hom that is not single-term: the monomial and
-        dense-random streams set it from the draw, and any other hom reads it
-        from its images once (`_read_images`)."""
-        if self._shape is None:
-            _read_images(self)
-        return self._shape or None
 
     # perfbench/tracing.py times `apply` (its `truncated.apply` span) only
     # where `vars(TruncatedHom)` holds it, so it is bound here too.
@@ -221,7 +219,7 @@ class TruncatedHom(AlgebraMap):
 
     def key(self):
         """Canonical sort/dedup key: (N, image coefficient tuples).  The
-        search deduplicates on `_int_key`, equal exactly when this is."""
+        search deduplicates on `_key`, equal exactly when this is."""
         return (self.truncation, tuple(img.coords for img in self.images))
 
     def to_record(self) -> dict:
@@ -238,21 +236,20 @@ class TruncatedHom(AlgebraMap):
         return f"[N={self.truncation}] " + ", ".join(pieces)
 
 
-def _read_images(hom: TruncatedHom) -> None:
-    """Set the `image_orders`, `_int_key` and `_leads` slots of a hom not
-    built from a draw, reading each coordinate once, `polycore.ZERO` by
-    identity."""
-    n = hom.truncation
-    orders, key, leads, single = [], [n], [], True
-    for i, img in enumerate(hom.images):
-        terms = [(k, c) for k, c in enumerate(img.coords) if c is not ZERO and c]
-        orders.append(terms[0][0] if terms else n + 1)
-        leads.append(terms[0][1] if terms else ZERO)
-        single = single and len(terms) < 2
-        for k, c in terms:
-            key += (i * (n + 1) + k, c.numerator, c.denominator)
-    hom._orders, hom._key = tuple(orders), tuple(key)
-    hom._shape = single and tuple(leads)
+def _image_entry(target: TruncatedPolyAlgebra, i: int, terms) -> tuple:
+    """(element, t-order, key part, lead) of the image of variable i from its
+    nonzero (k, c) terms, k increasing and at most N; ZERO fills the rest.
+    The key part is (i*(N+1)+k, numerator, denominator) per term, so homs of
+    one source have equal keys exactly when their `key()`s are.  The zero
+    image has order N+1, no key part and lead ZERO."""
+    n = target.truncation
+    if not terms:
+        return target.zero(), n + 1, (), ZERO
+    coeffs, part = [ZERO] * (n + 1), ()
+    for k, c in terms:
+        coeffs[k] = c
+        part += (i * (n + 1) + k, c.numerator, c.denominator)
+    return AlgebraElement._raw(target, tuple(coeffs)), terms[0][0], part, terms[0][1]
 
 
 def _term(leads, exps):
@@ -388,18 +385,12 @@ def _group_is_nonzero(terms, coeffs) -> bool:
 
 
 def _image_table(profile, pool, n):
-    """For each variable i, one entry per pool coefficient c: the image
-    c*t^(e_i) in Q[t]/<t^(n+1)>, its t-order, its part of `_int_key`,
-    (i*(n+1)+e_i, numerator, denominator), and its lead c.  A zero c or an
-    e_i above n gives the one zero image, order n+1, no key part and lead
-    ZERO."""
+    """The ring Q[t]/<t^(n+1)> and, for each variable i, one `_image_entry`
+    per pool coefficient c: that of c*t^(e_i), or of the zero image for a
+    zero c or an e_i above n."""
     target = TruncatedPolyAlgebra(n)
-    zeros = (ZERO,) * (n + 1)
-    zero = (AlgebraElement._raw(target, zeros), n + 1, (), ZERO)
-    return [
-        [(AlgebraElement._raw(target, zeros[:e] + (c,) + zeros[e + 1:]), e,
-          (i * (n + 1) + e, c.numerator, c.denominator), c) if e <= n and c else zero
-         for c in pool]
+    return target, [
+        [_image_entry(target, i, [(e, c)] if e <= n and c else []) for c in pool]
         for i, e in enumerate(profile)
     ]
 
@@ -409,42 +400,38 @@ def _monomial_stream(algebra, n_max, pool, seed, user_images):
 
     The candidate's N is one less than the least degree, at most n_max,
     of a nonzero degree group of some generator (`_degree_groups`), and
-    n_max if there is none.  The groups are computed once per profile.
-    Every candidate picks its images, their t-orders, its `_int_key` and
-    its leads (every such hom is single-term) from an `_image_table`, one
-    entry per variable by pool index, so images are shared between homs.
-    Without colliding groups N is one int for the whole profile, and so is
-    the table.  Otherwise only the colliding groups, whose terms share a
-    degree below that bound and so may cancel, are evaluated with
-    Fractions for each coefficient tuple, lowest degree first, and the
-    profile keeps one table per N it reaches.
+    n_max if there is none.  The groups are computed once per profile, and
+    N is bound - 1 unless a colliding group decides it: only the colliding
+    groups, whose terms share a degree below that bound and so may cancel,
+    are evaluated with Fractions for each coefficient tuple, lowest degree
+    first.  Every candidate takes one entry per variable, by pool index,
+    from the profile's `_image_table` for its N, so the single-term images
+    and what they say are made once per table.  Candidates run in the order
+    of the product of a table's rows, so those at N = bound - 1 take their
+    entries from that product as it runs.
     """
     nvars = len(algebra.variables)
     sure_singles = all(pool)
     for profile in _monomial_profiles(nvars, n_max):
         bound, colliding = _degree_groups(algebra.gens, profile, n_max, sure_singles)
-        if not colliding:
-            n = bound - 1
-            if n < 1:
-                yield from repeat(None, len(pool) ** nvars)
-                continue
-            target = TruncatedPolyAlgebra(n)
-            for entries in iter_product(*_image_table(profile, pool, n)):
-                images, orders, parts, leads = zip(*entries)
-                yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)), leads)
-            continue
-        tables = {}
-        for picks in iter_product(range(len(pool)), repeat=nvars):
-            coeffs = [pool[p] for p in picks]
-            n = next((d for d, terms in colliding if _group_is_nonzero(terms, coeffs)), bound) - 1
+        top = bound - 1
+        tables = {top: _image_table(profile, pool, top)} if top > 0 else {}
+        # below N = 1 every candidate is None, and rows of the pool keep the pace
+        target, rows = tables.get(top, (None, [pool] * nvars))
+        for picks, entries in zip(iter_product(range(len(pool)), repeat=nvars), iter_product(*rows)):
+            n = top
+            if colliding:
+                coeffs = [pool[p] for p in picks]
+                n = next((d - 1 for d, terms in colliding if _group_is_nonzero(terms, coeffs)), n)
             if n < 1:
                 yield None
-                continue
-            if n not in tables:
-                tables[n] = TruncatedPolyAlgebra(n), _image_table(profile, pool, n)
-            target, table = tables[n]
-            images, orders, parts, leads = zip(*map(list.__getitem__, table, picks))
-            yield TruncatedHom._raw(algebra, target, images, orders, sum(parts, (n,)), leads)
+            elif n == top:
+                yield TruncatedHom._raw(algebra, target, entries)
+            else:
+                if n not in tables:
+                    tables[n] = _image_table(profile, pool, n)
+                lowered, table = tables[n]
+                yield TruncatedHom._raw(algebra, lowered, map(list.__getitem__, table, picks))
 
 
 def _dense_random_stream(algebra, n_max, pool, seed, user_images):
@@ -452,16 +439,15 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images):
 
     Each image is drawn as its (k, c) pairs, lowest k first.  Its terms are
     the pairs with c nonzero, all of them for a pool without 0 (otherwise 0
-    may be drawn even at the lead), so its t-order and lead are those of its
-    first term, and it is single-term when it has at most one.  On a
-    monomial presentation, every generator one term a*X^α, the orders
-    decide the candidate before anything is built: a*X^α maps to
+    may be drawn even at the lead), so its t-order is that of its first
+    term.  On a monomial presentation, every generator one term a*X^α, the
+    orders decide the candidate before anything is built: a*X^α maps to
     a*∏lc_i^α_i*t^(α·orders) plus higher terms, nonzero exactly when
     α·orders <= N (Q is a domain).  Any other presentation is verified by
     `violation()`; the ROADMAP's per-generator order rule would replace that
     for every presentation once perfbench stops keeping each pass's report
-    text.  A yielded hom's images, `image_orders`, key and leads (see
-    `_leads`) are built once, from the pairs, with one ring per N.
+    text.  A yielded hom is built from the terms, one `_image_entry` per
+    image.
     """
     rng = random.Random(f"{seed}:dense-random:{n_max}")
     # CPython 3.10-3.13 draw randint(1, n) as 1 + _randbelow(n) and choice(pool)
@@ -471,7 +457,7 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images):
     nvars = len(algebra.variables)
     monomial = all(len(g.terms) == 1 for g in algebra.gens)
     gen_exps = [mono.exps for g in algebra.gens for mono in g.terms] if monomial else ()
-    rings = {}
+    rings = {}  # the constructor's checks cost more than the lookup
     while True:
         n = 1 + below(n_max)
         drawn = []
@@ -480,23 +466,15 @@ def _dense_random_stream(algebra, n_max, pool, seed, user_images):
             drawn.append([(k, pool[below(size)]) for k in range(lead, min(n, lead + 4) + 1)
                           if k == lead or uniform() < 0.4])
         terms = drawn if nonzero_pool else [[(k, c) for k, c in pairs if c] for pairs in drawn]
-        orders = tuple(t[0][0] if t else n + 1 for t in terms)
-        if monomial and any(sum(map(mul, a, orders)) <= n for a in gen_exps):
-            yield None
-            continue
+        if monomial:
+            orders = [t[0][0] if t else n + 1 for t in terms]
+            if any(sum(map(mul, a, orders)) <= n for a in gen_exps):
+                yield None
+                continue
         if n not in rings:
-            rings[n] = TruncatedPolyAlgebra(n), [ZERO] * (n + 1)
-        target, zeros = rings[n]
-        images, key = [], [n]
-        for i, pairs in enumerate(drawn):
-            coeffs = zeros[:]
-            for k, c in pairs:
-                coeffs[k] = c
-                if c:
-                    key += (i * (n + 1) + k, c.numerator, c.denominator)
-            images.append(AlgebraElement._raw(target, tuple(coeffs)))
-        shape = all(len(t) < 2 for t in terms) and tuple(t[0][1] if t else ZERO for t in terms)
-        hom = TruncatedHom._raw(algebra, target, images, orders, tuple(key), shape)
+            rings[n] = TruncatedPolyAlgebra(n)
+        target = rings[n]
+        hom = TruncatedHom._raw(algebra, target, [_image_entry(target, i, t) for i, t in enumerate(terms)])
         yield hom if monomial or hom.violation() is None else None
 
 
@@ -511,10 +489,10 @@ def _user_stream(algebra, n_max, pool, seed, user_images):
         if isinstance(image_set, TruncatedHom):
             if image_set.source is not algebra or image_set.truncation != n_max:
                 raise IncompatibleAlgebrasError("user hom has another source or truncation")
-            yield TruncatedHom._raw(
-                algebra, image_set.target, image_set.images, image_set._orders, image_set._key,
-                image_set._shape,
-            )
+            from copy import copy  # here, not at import: only a search handed homs needs it
+            hom = copy(image_set)
+            hom._monomial_images, hom.gen_seq = {}, -1
+            yield hom
             continue
         try:
             hom = make_hom(algebra, n_max, image_set)
@@ -582,9 +560,9 @@ def search_homs(
     "dense-random" rejection-samples seeded random images of positive
     order, decided on a monomial presentation (every generator one term)
     by the images' t-orders alone, before any image is built, and verified
-    exactly otherwise; both streams set each hom's `image_orders`, dedup
-    key and single-term leads (`TruncatedHom._leads`) from the draw, which
-    any other hom reads once from its images (`_read_images`);
+    exactly otherwise; every hom, drawn or not, holds its `image_orders`,
+    dedup key `_key` and single-term leads `_leads` from the moment it is
+    built (`_image_entry`);
     "user" verifies explicitly supplied images and keeps the valid ones:
     `images` is one image set (the images of `make_hom`; a sequence of
     rationals is one image) or a list of image sets, and a supplied
@@ -594,7 +572,7 @@ def search_homs(
     int, or a mapping from strategy name to int; a strategy missing from
     the mapping gets 0).  Candidates are streamed, so a strategy does no
     work beyond its budget.  Results are deduplicated by exact values on
-    `_int_key`, read once per candidate, and returned in the order of the
+    the homs' `_key`, and returned in the order of the
     canonical key (N, images) of `TruncatedHom.key`, compared as integers
     by `_sorted_by_key`; each hom's `gen_seq` is the number of homs kept
     before it.  An empty list is a legitimate outcome.
@@ -617,24 +595,13 @@ def search_homs(
     for strat in strategies:
         stream = _STRATEGIES[strat](algebra, n_max, pool, seed, images)
         for hom in islice(stream, budgets.get(strat, 0)):
-            if hom is not None and found.setdefault(_int_key(hom), hom) is hom:
+            if hom is not None and found.setdefault(hom._key, hom) is hom:
                 hom.gen_seq = len(found) - 1
     return _sorted_by_key(found, len(algebra.variables))
 
 
-def _int_key(hom: TruncatedHom) -> tuple:
-    """(N, then i*(N+1)+k, numerator, denominator for each nonzero t^k
-    coefficient of image i).  Fractions are normalized and N fixes every
-    image's width, so homs of one source have equal int keys exactly when
-    their `key()`s are.  The monomial and dense-random streams set it from
-    the draw; any other hom reads it from its images once (`_read_images`)."""
-    if hom._key is None:
-        _read_images(hom)
-    return hom._key
-
-
 def _sorted_by_key(found: dict, nvars: int) -> list:
-    """The homs of {`_int_key`: hom}, of `nvars` images each, in `key()` order,
+    """The homs of {`_key`: hom}, of `nvars` images each, in `key()` order,
     compared as integers: every coefficient times the lcm of all the
     denominators is an integer, and that scaling keeps their order.  So the
     dense list of scaled coefficients of each key orders the homs of one N

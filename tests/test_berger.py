@@ -469,7 +469,7 @@ class TestRankFromValuations:
         hom = TruncatedHom(A, B, images, verify=False)
         # the unpruned evaluation of a plain AlgebraMap, which reads no orders
         plain = AlgebraMap(A, B, images, verify=False)
-        single = hom._leads() is not None
+        single = hom._leads is not None
         for degree in sorted(set(A.degrees)):
             indices = [i for i, d in enumerate(A.degrees) if d == degree]
             rows = [A.basis[i].exps for i in indices]
@@ -491,8 +491,8 @@ class TestRankFromValuations:
         ]
         for images, single in cases:
             hom = TruncatedHom(A, B, [B.from_string(s) for s in images], verify=False)
-            assert (hom._leads() is not None) is single
-            assert hom._key is not None  # one read of the images sets every slot
+            assert (hom._leads is not None) is single
+            assert hom._key[0] == 6  # every slot is set when the hom is built
 
 
 def reference_scan(A, homs):
@@ -543,6 +543,27 @@ class TestScanEquivalence:
         assert report.witnesses[2].hom is homs[1] and report.witnesses[2].rank == 2
         assert report.to_record() == reference_scan(A, homs).to_record()
         assert report.reverify(A)
+
+    @pytest.mark.parametrize("name", ["q3", "m4"])
+    def test_families_whose_numbers_are_not_slots(self, name):
+        """A slice of a search keeps a gen_seq equal to its length, and a hom
+        built outside a search has gen_seq -1: neither fits a slot of
+        `_scan_order`, so both families are sorted, the built hom first."""
+        A = ORACLE_ALGEBRAS[name]
+        homs = both_strategies(A, 12, 600)
+        last = len(homs) - 1
+        top = critical_degree_search(A, homs).lower_bound
+        best = critical_degree_search(A, homs).witnesses[top].hom
+        built = make_hom(A, best.truncation, best.images)
+        assert homs[0].gen_seq != last and best.gen_seq != last
+        # every other gen_seq fills a slot, and -1 would take the one left
+        with_built = [h for h in homs if h.gen_seq != last] + [built]
+        for family in (homs[1:], with_built):
+            report, reference = critical_degree_search(A, family), reference_scan(A, family)
+            assert report.to_record() == reference.to_record()
+            assert {d: (w.hom.gen_seq, w.rank) for d, w in report.witnesses.items()} == {
+                d: (w.hom.gen_seq, w.rank) for d, w in reference.witnesses.items()}
+        assert critical_degree_search(A, with_built).witnesses[top].hom is built
 
     @pytest.mark.parametrize("name", ["q3", "m4"])
     def test_key_order_and_discovery_order_give_one_report(self, monkeypatch, name):
@@ -653,7 +674,7 @@ class TestBoundsOncePerProfile:
         A = ORACLE_ALGEBRAS[name]
         homs = search_homs(A, 12, ("monomial", "dense-random"), 2500, seed)
         # copies numbered -1, as built outside a search: the `_scan_order` fallback
-        copies = [TruncatedHom._raw(A, h.target, h.images, h._orders, h._key, h._shape) for h in homs]
+        copies = [TruncatedHom(A, h.target, h.images, verify=False) for h in homs]
         built = [make_hom(A, h.truncation, h.images) for h in homs[::7]]
         families = [homs, homs[::-1], copies, copies[::-2] + homs[::2], built + homs[1::3]]
         n = grading_info(A).nilpotency_index

@@ -58,6 +58,14 @@ from artinalg import (
     triangularize,
 )
 from artinalg.algebra import graded_component_span
+from artinalg.groebner import (
+    GroebnerBasis,
+    StandardMonomialBasis,
+    buchberger,
+    ideal_membership,
+    normal_form,
+    standard_monomials,
+)
 
 WRONG = {
     "float": 1.5,
@@ -109,6 +117,15 @@ READERS = [
     ("Polynomial*", lambda v: X * v, Polynomial, False),
     ("*Polynomial", lambda v: v * X, Polynomial, False),
     ("Polynomial**", lambda v: X ** v, Polynomial, False),
+    ("Polynomial.leading_monomial", lambda v: X.leading_monomial(v), Monomial, False),
+    ("Polynomial.to_string", lambda v: X.to_string(v), str, False),
+    ("buchberger", lambda v: buchberger(v), GroebnerBasis, False),
+    ("buchberger-generator", lambda v: buchberger([X, v]), GroebnerBasis, False),
+    ("buchberger-order", lambda v: buchberger([X], v), GroebnerBasis, False),
+    ("normal_form", lambda v: normal_form(v, Q2.gb), Polynomial, False),
+    ("normal_form-basis", lambda v: normal_form(X, v), Polynomial, False),
+    ("ideal_membership", lambda v: ideal_membership(v, Q2.gb), bool, False),
+    ("standard_monomials", lambda v: standard_monomials(v), StandardMonomialBasis, False),
     ("AlgebraElement-coordinates", lambda v: AlgebraElement(Q2, v), AlgebraElement, False),
     ("AlgebraElement-coordinate", lambda v: AlgebraElement(Q2, [v] * Q2.dim), AlgebraElement, False),
     ("AlgebraElement.scale", lambda v: x.scale(v), AlgebraElement, False),
@@ -149,12 +166,14 @@ READERS = [
     ("Subspace.from_vectors-ambient_dim",
      lambda v: Subspace.from_vectors([[1, 0]], v), Subspace, False),
     ("basis_element", lambda v: Q2.basis_element(v), AlgebraElement, False),
+    ("from_polynomial", lambda v: Q2.from_polynomial(v), AlgebraElement, False),
     ("graded_component_span", lambda v: graded_component_span(Q2, v), Subspace, False),
     ("nilradical", lambda v: nilradical(v), Subspace, False),
     ("socle", lambda v: socle(v), Subspace, False),
     ("kahler_module", lambda v: kahler_module(v), KahlerModule, False),
     ("d", lambda v: d(v), DifferentialForm, False),
     ("KahlerModule.d", lambda v: kahler_module(Q2).d(v), DifferentialForm, False),
+    ("KahlerModule.d_polynomial", lambda v: kahler_module(Q2).d_polynomial(v), DifferentialForm, False),
     ("KahlerModule.act-element", lambda v: kahler_module(Q2).act(v, OMEGA), DifferentialForm, False),
     ("KahlerModule.act-form", lambda v: kahler_module(Q2).act(x, v), DifferentialForm, False),
     ("quotient_algebra-algebra", lambda v: quotient_algebra(v, []), tuple, False),
@@ -163,6 +182,9 @@ READERS = [
     ("AlgebraMap-source", lambda v: AlgebraMap(v, Q2, []), AlgebraMap, False),
     ("AlgebraMap-target", lambda v: AlgebraMap(Q2, v, [x, y]), AlgebraMap, False),
     ("AlgebraMap-images", lambda v: AlgebraMap(Q2, Q2, v), AlgebraMap, False),
+    ("AlgebraMap.identity", lambda v: AlgebraMap.identity(v), AlgebraMap, False),
+    ("TruncatedHom.identity", lambda v: TruncatedHom.identity(v), TruncatedHom, False),
+    ("TruncatedHom-target", lambda v: TruncatedHom(Q2, v, [x, y]), TruncatedHom, False),
     ("then", lambda v: HOM.then(v), AlgebraMap, False),
     ("evaluate_monomial", lambda v: HOM.evaluate_monomial(v), AlgebraElement, False),
     ("evaluate_monomial-exponent", lambda v: HOM.evaluate_monomial((v, 0)), AlgebraElement, False),
@@ -224,6 +246,10 @@ REPROS = [
     ("AlgebraMap-str", lambda: AlgebraMap(Q2, Q2, "XY"), InvalidArgumentError),
     ("Polynomial-str", lambda: Polynomial("XY", {}), InvalidArgumentError),
     ("search_homs-strategy-int", lambda: search_homs(Q2, 4, strategy=5), InvalidArgumentError),
+    ("buchberger-str", lambda: buchberger("XY"), InvalidArgumentError),
+    ("normal_form-int", lambda: normal_form(5, Q2.gb), InvalidArgumentError),
+    ("TruncatedHom.identity-presented", lambda: TruncatedHom.identity(Q2), InvalidArgumentError),
+    ("TruncatedHom-presented-target", lambda: TruncatedHom(Q2, Q2, [x, y]), InvalidArgumentError),
 ]
 
 

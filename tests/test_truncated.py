@@ -135,6 +135,15 @@ def kills_every_generator(hom):
 
 
 class TestMakeHom:
+    def test_a_source_without_variables(self):
+        # Q itself: every hom is the unit map, one per N, keyed by N alone
+        A = build_algebra((), [])
+        hom = make_hom(A, 3, [])
+        assert (hom.images, hom.image_orders(), hom._key, hom._leads) == ((), (), (3,), ())
+        assert hom.apply(A.one()) == hom.target.one()
+        homs = search_homs(A, 3, ("monomial", "dense-random"), 5)
+        assert homs and all(h.images == () and h._key == (h.truncation,) for h in homs)
+
     def test_staircase_accepts_t2_t3_at_five(self, q2):
         hom = make_hom(q2, 5, ["t^2", "t^3"])
         assert kills_every_generator(hom)
@@ -534,11 +543,11 @@ class TestSearch:
 
 class TestSearchOrder:
     """`search_homs` returns the first hom found for each `key()`, sorted by
-    `TruncatedHom.key`; it reads `truncated._int_key` once per hom the
-    streams yield and `key()` never."""
+    `TruncatedHom.key`; it deduplicates on each hom's `_key`, set when the
+    hom is built, and reads `key()` never."""
 
     MIXED_POOL = (1, Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 7), 3)
-    # its zero is read to a Fraction(0) of its own, not truncated.ZERO
+    # its zero is read to a Fraction(0) of its own, which no image keeps
     POOL_WITH_ZERO = (0, 1, -1, Fraction(1, 2), Fraction(-1, 3))
     # large coprime denominators and negative values
     COPRIME_POOL = (-1, Fraction(1, 7), Fraction(-5, 11), Fraction(13, 1000003))
@@ -558,13 +567,9 @@ class TestSearchOrder:
 
     def search_counting(self, monkeypatch, algebra, n_max, **kwargs):
         """The search's result and the homs its streams yielded, checking
-        that `_int_key` was read once per yielded hom and `key()` never."""
-        yielded, int_keyed, keyed = [], [], []
-        int_key, key = truncated._int_key, TruncatedHom.key
-
-        def counting_int_key(hom):
-            int_keyed.append(hom)
-            return int_key(hom)
+        that `key()` was never read."""
+        yielded, keyed = [], []
+        key = TruncatedHom.key
 
         def counting_key(hom):
             keyed.append(hom)
@@ -578,13 +583,11 @@ class TestSearchOrder:
                     yield hom
             return wrapped
 
-        monkeypatch.setattr(truncated, "_int_key", counting_int_key)
         monkeypatch.setattr(TruncatedHom, "key", counting_key)
         for name, stream in list(truncated._STRATEGIES.items()):
             monkeypatch.setitem(truncated._STRATEGIES, name, counted(stream))
         homs = search_homs(algebra, n_max, **kwargs)
         monkeypatch.undo()
-        assert int_keyed == yielded
         assert keyed == []
         return homs, yielded
 
@@ -605,7 +608,7 @@ class TestSearchOrder:
 
         assert any(min(first_difference(a, b)) < 0
                    for a, b in zip(homs, homs[1:]) if a.truncation == b.truncation)
-        assert sorted(homs, key=truncated._int_key) != homs
+        assert sorted(homs, key=lambda h: h._key) != homs
 
     @pytest.mark.parametrize("n_max", [3, 6, 9])
     def test_mixed_denominators_at_several_n(self, monkeypatch, q2, n_max):
@@ -624,8 +627,8 @@ class TestSearchOrder:
             monkeypatch, algebra, 6, strategy=("monomial", "dense-random"), budget=300,
             coefficient_pool=self.POOL_WITH_ZERO,
         )
-        assert any(not c and c is not truncated.ZERO
-                   for h in homs for img in h.images for c in img.coords)
+        zeros = [c for h in homs for img in h.images for c in img.coords if not c]
+        assert zeros and all(c is truncated.ZERO for c in zeros)
         self.assert_sorted_first_of_each_key(homs, yielded)
         self.assert_negatives_decide_the_order(homs)
 
@@ -648,7 +651,7 @@ class TestSearchOrder:
             monkeypatch, build(), n_max, strategy=("monomial", "dense-random"), budget=2500,
         )
         assert len(homs) < len(yielded)  # duplicates were dropped
-        pairs = {(truncated._int_key(h), h.key()) for h in yielded}
+        pairs = {(h._key, h.key()) for h in yielded}
         assert len(pairs) == len({k for k, _ in pairs}) == len({k for _, k in pairs})
 
     @pytest.mark.parametrize("name", ["q2", "q3", "golden"])
@@ -1005,16 +1008,29 @@ class TestDenseRandomStream:
         assert records[0] == records[1] != []
 
 
+def count_inits(monkeypatch) -> list:
+    """A list that collects every hom built by `TruncatedHom.__init__`, the
+    one constructor that reads its images, until the monkeypatch is undone."""
+    built, init = [], TruncatedHom.__init__
+
+    def counting(hom, *args, **kwargs):
+        built.append(hom)
+        init(hom, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedHom, "__init__", counting)
+    return built
+
+
 class TestKeysFromTheDraw:
     """The monomial and dense-random streams build their homs with
-    `TruncatedHom._raw`, each carrying the `_int_key` of its images from
+    `TruncatedHom._raw`, each carrying the `_key` of its images from
     the draw; such a hom reads as the verified hom of the same images."""
 
     def assert_keys_from_the_draw(self, algebra, stream):
         # unit-line and mixed have no hom of positive order: nothing to compare
         for hom in filter(None, stream):
             rebuilt = make_hom(algebra, hom.truncation, hom.images)
-            assert truncated._int_key(hom) == truncated._int_key(rebuilt)
+            assert hom._key == rebuilt._key
 
     @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
     @pytest.mark.parametrize(
@@ -1038,14 +1054,8 @@ class TestKeysFromTheDraw:
         self.assert_keys_from_the_draw(A, islice(stream, 400))
 
     def test_staircase_searches_scan_no_key(self, monkeypatch):
-        scanned = []
-        read_images = truncated._read_images
-
-        def counting(hom):
-            scanned.append(hom)
-            return read_images(hom)
-
-        monkeypatch.setattr(truncated, "_read_images", counting)
+        # no stream hom is built by `TruncatedHom.__init__`, which reads the images
+        scanned = count_inits(monkeypatch)
         # the whole monomial space (144 profiles of 49 tuples) and 2500 draws
         budget = {"monomial": 144 * 49, "dense-random": 2500}
         for _, variables, gens in TestMonomialStream.STAIRCASE_INPUTS:
@@ -1056,9 +1066,7 @@ class TestKeysFromTheDraw:
     def test_pools_with_zero_and_colliding_groups_scan_no_key(self, monkeypatch, q3):
         # a zero in the pool makes every group of Q(3) colliding; the
         # colliding input has groups that cancel for some coefficients
-        scanned = []
-        read_images = truncated._read_images
-        monkeypatch.setattr(truncated, "_read_images", lambda hom: scanned.append(hom) or read_images(hom))
+        scanned = count_inits(monkeypatch)
         assert len(search_homs(q3, 12, "monomial", 144 * 49, coefficient_pool=(0, 1, -1, 2))) > 500
         colliding = algebra_from_strings(*TestMonomialStream.COLLIDING)
         for pool in TestMonomialStream.POOLS:
@@ -1104,7 +1112,7 @@ class TestShapeFromTheDraw:
         expected = None
         if all(len(t) < 2 for t in terms):
             expected = tuple(t[0] if t else 0 for t in terms)
-        assert hom._leads() == rebuilt._leads() == expected
+        assert hom._leads == rebuilt._leads == expected
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("pool", TestMonomialStream.POOLS, ids=["default-pool", "with-zero", "units"])
@@ -1114,8 +1122,7 @@ class TestShapeFromTheDraw:
             A = algebra_from_strings(*presentation)
             stream = truncated._monomial_stream(A, n_max, pool, seed, None)
             for hom in islice(filter(None, stream), 0, 600, 3):
-                assert hom._key is not None and hom._shape is not None
-                assert hom._leads() is not None  # every monomial hom is single-term
+                assert hom._leads is not None  # every monomial hom is single-term
                 self.assert_shape_of_the_images(A, hom)
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -1126,9 +1133,8 @@ class TestShapeFromTheDraw:
             A = algebra_from_strings(*presentation)
             stream = truncated._dense_random_stream(A, n_max, pool, seed, None)
             for hom in filter(None, islice(stream, 400)):  # unit-line has none
-                assert hom._shape is not None
-                singles += hom._leads() is not None
-                others += hom._leads() is None
+                singles += hom._leads is not None
+                others += hom._leads is None
                 self.assert_shape_of_the_images(A, hom)
         assert singles and others
 
@@ -1138,14 +1144,15 @@ class TestShapeFromTheDraw:
         assert copies
         for copy in copies:
             original = next(h for h in homs if h.key() == copy.key())
-            assert copy is not original and copy._shape is original._shape is not None
+            assert copy is not original
+            assert (copy.images, copy._orders, copy._key, copy._leads) == (
+                original.images, original._orders, original._key, original._leads)
+            assert copy._key is original._key and copy._leads is original._leads
 
     def test_staircase_jobs_read_no_image_for_the_shape(self, monkeypatch):
         # the critdeg search and scan and the `tau --r` check of each staircase
         # input; only the scan's degree-one witness, built by `make_hom`, is read
-        read = []
-        read_images = truncated._read_images
-        monkeypatch.setattr(truncated, "_read_images", lambda hom: read.append(hom) or read_images(hom))
+        read = count_inits(monkeypatch)
         for name, variables, gens in TestMonomialStream.STAIRCASE_INPUTS:
             A = algebra_from_strings(variables, gens)
             report = critical_degree_search(A, search_homs(A, 12, ("monomial", "dense-random"), 2500, 0))
